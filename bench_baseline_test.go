@@ -14,8 +14,12 @@ import (
 // baselines: every file must parse, carry a date matching its filename,
 // and contain a record for every benchmark in the suite — so a stale
 // baseline (regenerated before a benchmark was added) fails loudly
-// instead of silently missing the new numbers. Regenerate with
-// cmd/ccnbench from the module root.
+// instead of silently missing the new numbers. Regenerate from the
+// module root with
+//
+//	go run ./cmd/ccnbench -pkg '. ./internal/ccn@20x ./internal/cache@1000000x'
+//
+// and delete the file it replaces.
 func TestBenchBaseline(t *testing.T) {
 	matches, err := filepath.Glob("BENCH_*.json")
 	if err != nil {
@@ -25,7 +29,9 @@ func TestBenchBaseline(t *testing.T) {
 		t.Fatal("no committed BENCH_<date>.json baseline; run cmd/ccnbench")
 	}
 	// Top-level benchmarks of bench_test.go plus their fixed
-	// sub-benchmarks. Keep in sync when adding benchmarks.
+	// sub-benchmarks, then the per-layer rows ccnbench sweeps in from
+	// internal/ccn and internal/cache. Keep in sync when adding
+	// benchmarks.
 	required := []string{
 		"BenchmarkTableI", "BenchmarkTableII", "BenchmarkTableIII", "BenchmarkTableIV",
 		"BenchmarkFig4", "BenchmarkFig5", "BenchmarkFig6", "BenchmarkFig7",
@@ -48,6 +54,7 @@ func TestBenchBaseline(t *testing.T) {
 		"BenchmarkRoutingScale/Dense/n=100",
 		"BenchmarkRoutingScale/LRU/n=100", "BenchmarkRoutingScale/LRU/n=1000",
 		"BenchmarkRoutingScale/LRU/n=10000", "BenchmarkRoutingScale/LRU/n=100000",
+		"BenchmarkForwardHop", "BenchmarkLRUInsertLookup",
 	}
 	for _, n := range []int{100, 1000, 10000, 100000} {
 		for _, p := range []int{1, 2, 4, 8} {
@@ -83,6 +90,19 @@ func TestBenchBaseline(t *testing.T) {
 			}
 			if rec.NsPerOp <= 0 || rec.Iterations <= 0 {
 				t.Errorf("%s: %s has empty measurements: %+v", path, name, rec)
+			}
+		}
+		// The forwarding-hop row is only useful with its per-hop columns,
+		// and a plane that allocates per hop again must not be recorded
+		// as the baseline.
+		if rec := suite.Find("BenchmarkForwardHop"); rec != nil {
+			for _, unit := range []string{"ns/hop", "allocs/hop"} {
+				if _, ok := rec.Extra[unit]; !ok {
+					t.Errorf("%s: BenchmarkForwardHop missing %q column", path, unit)
+				}
+			}
+			if rec.Extra["allocs/hop"] > 0.1 {
+				t.Errorf("%s: forwarding allocates %.2f times per hop, want <= 0.1", path, rec.Extra["allocs/hop"])
 			}
 		}
 		// The sharded-engine scale sweep must carry its custom columns,

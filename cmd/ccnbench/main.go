@@ -8,6 +8,7 @@
 //	ccnbench                          # full suite, BENCH_<today>.json
 //	ccnbench -bench 'SimRun' -benchtime 5x
 //	ccnbench -out results/ -date 2026-08-05
+//	ccnbench -pkg '. ./internal/ccn@20x ./internal/cache@1000000x'
 //	ccnbench -diff BENCH_2026-08-05.json BENCH_2026-09-01.json
 //	ccnbench -diff old-manifest.json new-manifest.json
 //
@@ -26,6 +27,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"ccncoord/internal/benchjson"
@@ -35,7 +37,7 @@ func main() {
 	var (
 		bench     = flag.String("bench", ".", "benchmark selector passed to go test -bench")
 		benchtime = flag.String("benchtime", "1x", "go test -benchtime value (e.g. 1x, 5x, 2s)")
-		pkg       = flag.String("pkg", ".", "package to benchmark")
+		pkg       = flag.String("pkg", ".", "space-separated packages to benchmark into one file; pkg@benchtime overrides -benchtime for that package")
 		out       = flag.String("out", "", "output directory or file; default BENCH_<date>.json in the current directory")
 		date      = flag.String("date", "", "date stamp for the baseline, YYYY-MM-DD; default today")
 		diff      = flag.Bool("diff", false, "diff two JSON files (bench baselines or manifests): ccnbench -diff old.json new.json")
@@ -76,16 +78,24 @@ func run(bench, benchtime, pkg, out, date string) error {
 		}
 	}
 
-	args := []string{"test", "-run", "^$", "-bench", bench, "-benchmem", "-benchtime", benchtime, pkg}
-	fmt.Fprintln(os.Stderr, "ccnbench: go", argsString(args))
-	cmd := exec.Command("go", args...)
+	// One go test per package, so whole-artifact benchmarks can run once
+	// while per-layer micro-benchmarks run long enough to mean something.
 	var outBuf bytes.Buffer
-	cmd.Stdout = &outBuf
-	cmd.Stderr = os.Stderr
-	if err := cmd.Run(); err != nil {
-		// Surface the captured output: it usually holds the failure.
-		os.Stderr.Write(outBuf.Bytes())
-		return fmt.Errorf("go test: %w", err)
+	for _, p := range strings.Fields(pkg) {
+		p, bt, ok := strings.Cut(p, "@")
+		if !ok {
+			bt = benchtime
+		}
+		args := []string{"test", "-run", "^$", "-bench", bench, "-benchmem", "-benchtime", bt, p}
+		fmt.Fprintln(os.Stderr, "ccnbench: go", argsString(args))
+		cmd := exec.Command("go", args...)
+		cmd.Stdout = &outBuf
+		cmd.Stderr = os.Stderr
+		if err := cmd.Run(); err != nil {
+			// Surface the captured output: it usually holds the failure.
+			os.Stderr.Write(outBuf.Bytes())
+			return fmt.Errorf("go test: %w", err)
+		}
 	}
 
 	suite, err := benchjson.Parse(&outBuf)

@@ -20,6 +20,10 @@ type Record struct {
 	// Name is the benchmark name with the -GOMAXPROCS suffix stripped
 	// (e.g. "BenchmarkSimRun/Coordinated/US-A").
 	Name string `json:"name"`
+	// Pkg is the package the benchmark lives in — its layer — when that
+	// is not the suite's own Pkg; a sweep over several packages tags the
+	// rows of all but the first.
+	Pkg string `json:"pkg,omitempty"`
 	// Procs is the GOMAXPROCS suffix of the benchmark line (1 if absent).
 	Procs int `json:"procs"`
 	// Iterations is the measured b.N.
@@ -65,10 +69,13 @@ func (s *Suite) Find(name string) *Record {
 	return nil
 }
 
-// Parse reads `go test -bench` output. Unrecognized lines (PASS, ok,
+// Parse reads `go test -bench` output, of one package or of several in
+// sequence: the first pkg header names the suite, and records that
+// follow a later one carry it themselves. Unrecognized lines (PASS, ok,
 // test logs) are ignored; malformed Benchmark lines are an error.
 func Parse(r io.Reader) (*Suite, error) {
 	s := &Suite{}
+	pkg := ""
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for sc.Scan() {
@@ -79,13 +86,19 @@ func Parse(r io.Reader) (*Suite, error) {
 		case strings.HasPrefix(line, "goarch:"):
 			s.GoArch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
 		case strings.HasPrefix(line, "pkg:"):
-			s.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			if s.Pkg == "" {
+				s.Pkg = pkg
+			}
 		case strings.HasPrefix(line, "cpu:"):
 			s.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 		case strings.HasPrefix(line, "Benchmark"):
 			rec, err := parseLine(line)
 			if err != nil {
 				return nil, err
+			}
+			if pkg != s.Pkg {
+				rec.Pkg = pkg
 			}
 			s.Benchmarks = append(s.Benchmarks, rec)
 		}

@@ -56,6 +56,28 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// TestParseSeveralPackages: a sweep concatenates one go test output per
+// package; the first names the suite and later rows carry their own.
+func TestParseSeveralPackages(t *testing.T) {
+	s, err := Parse(strings.NewReader(sample + `goos: linux
+pkg: ccncoord/internal/ccn
+BenchmarkForwardHop-2   	20	2016572 ns/op	155.8 ns/hop	778 B/op	12 allocs/op
+PASS
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Pkg != "ccncoord" {
+		t.Errorf("suite pkg %q, want the first package", s.Pkg)
+	}
+	if r := s.Find("BenchmarkFig4"); r == nil || r.Pkg != "" {
+		t.Errorf("first-package row: %+v", r)
+	}
+	if r := s.Find("BenchmarkForwardHop"); r == nil || r.Pkg != "ccncoord/internal/ccn" || r.Extra["ns/hop"] != 155.8 {
+		t.Errorf("second-package row: %+v", r)
+	}
+}
+
 func TestParseRejectsMalformed(t *testing.T) {
 	for _, bad := range []string{
 		"BenchmarkX",              // no iteration count

@@ -8,8 +8,8 @@ package cache
 
 import (
 	"container/heap"
-	"container/list"
 	"fmt"
+	"math"
 
 	"ccncoord/internal/catalog"
 )
@@ -45,11 +45,24 @@ func validateCap(capacity int) error {
 
 // --- LRU ---
 
-// LRU is a least-recently-used store.
+// lruNode is one slot of the LRU slab: a content and its neighbors in
+// the recency ring, as slab indices.
+type lruNode struct {
+	id         catalog.ID
+	prev, next int32
+}
+
+// LRU is a least-recently-used store. The recency order is a ring of
+// index-linked nodes in one slab rather than a container/list: slot 0
+// is the ring's sentinel (next = most recent, prev = least recent),
+// slots are appended until the store is full, and from then on every
+// insertion reuses the slot of the content it evicts. Insert and Lookup
+// therefore never allocate beyond the map's own bookkeeping, and the
+// nodes of one store sit together in memory.
 type LRU struct {
 	capacity int
-	ll       *list.List                   // front = most recent
-	items    map[catalog.ID]*list.Element // value: catalog.ID
+	nodes    []lruNode
+	items    map[catalog.ID]int32 // content -> slot
 }
 
 // NewLRU returns an LRU store with the given capacity.
@@ -57,14 +70,44 @@ func NewLRU(capacity int) (*LRU, error) {
 	if err := validateCap(capacity); err != nil {
 		return nil, err
 	}
-	return &LRU{capacity: capacity, ll: list.New(), items: make(map[catalog.ID]*list.Element, capacity)}, nil
+	if capacity >= math.MaxInt32 {
+		return nil, fmt.Errorf("cache: LRU capacity %d exceeds the slab index range", capacity)
+	}
+	return &LRU{
+		capacity: capacity,
+		nodes:    make([]lruNode, 1, capacity+1),
+		items:    make(map[catalog.ID]int32, capacity),
+	}, nil
+}
+
+// unlink removes slot i from the recency ring.
+func (c *LRU) unlink(i int32) {
+	nd := &c.nodes[i]
+	c.nodes[nd.prev].next = nd.next
+	c.nodes[nd.next].prev = nd.prev
+}
+
+// pushFront links slot i in as the most recent.
+func (c *LRU) pushFront(i int32) {
+	head := c.nodes[0].next
+	c.nodes[i].prev, c.nodes[i].next = 0, head
+	c.nodes[head].prev = i
+	c.nodes[0].next = i
+}
+
+// touch marks slot i most recent.
+func (c *LRU) touch(i int32) {
+	if c.nodes[0].next != i {
+		c.unlink(i)
+		c.pushFront(i)
+	}
 }
 
 // Lookup implements Store.
 func (c *LRU) Lookup(id catalog.ID) bool {
-	el, ok := c.items[id]
+	i, ok := c.items[id]
 	if ok {
-		c.ll.MoveToFront(el)
+		c.touch(i)
 	}
 	return ok
 }
@@ -80,25 +123,30 @@ func (c *LRU) Insert(id catalog.ID) (catalog.ID, bool) {
 	if c.capacity == 0 {
 		return 0, false
 	}
-	if el, ok := c.items[id]; ok {
-		c.ll.MoveToFront(el)
+	if i, ok := c.items[id]; ok {
+		c.touch(i)
 		return 0, false
 	}
 	var evicted catalog.ID
 	var did bool
-	if c.ll.Len() >= c.capacity {
-		back := c.ll.Back()
-		evicted = back.Value.(catalog.ID)
-		c.ll.Remove(back)
+	var slot int32
+	if len(c.items) >= c.capacity {
+		slot = c.nodes[0].prev
+		evicted, did = c.nodes[slot].id, true
+		c.unlink(slot)
 		delete(c.items, evicted)
-		did = true
+	} else {
+		slot = int32(len(c.nodes))
+		c.nodes = append(c.nodes, lruNode{})
 	}
-	c.items[id] = c.ll.PushFront(id)
+	c.nodes[slot].id = id
+	c.pushFront(slot)
+	c.items[id] = slot
 	return evicted, did
 }
 
 // Len implements Store.
-func (c *LRU) Len() int { return c.ll.Len() }
+func (c *LRU) Len() int { return len(c.items) }
 
 // Cap implements Store.
 func (c *LRU) Cap() int { return c.capacity }

@@ -215,17 +215,23 @@ const (
 	maxBackoffExponent = 5
 )
 
-// pendingRequest is a client request waiting in a PIT.
+// pendingRequest is a client request waiting in a PIT. Records recycle
+// through the pool of the first-hop router's executor: drawn when the
+// request is issued, returned when its completion fires.
 type pendingRequest struct {
 	issuedAt float64
 	done     func(RequestResult)
 	req      int64 // the request's per-run identity
+	next     *pendingRequest
 }
+
+// noopDone stands in for a nil completion callback.
+func noopDone(RequestResult) {}
 
 // pitFace is one downstream requester of a pending interest: either a
 // neighboring router or a local client. req is the identity of the
-// client request whose lifecycle opened this face — the faces slice of
-// an entry is therefore the full set of request IDs aggregated on it.
+// client request whose lifecycle opened this face — the faces of an
+// entry are therefore the full set of request IDs aggregated on it.
 type pitFace struct {
 	neighbor topology.NodeID // used when request is nil
 	request  *pendingRequest // non-nil for client faces
@@ -235,7 +241,12 @@ type pitFace struct {
 // pitEntry aggregates all downstream requesters of one content and
 // tracks its bounded retransmission state.
 type pitEntry struct {
-	faces []pitFace
+	// first is the face that opened the entry and more the faces
+	// aggregated onto it since, in arrival order. Most entries never
+	// aggregate, so the common case lives in the entry's own cache line
+	// and more's backing array is touched only when it is needed.
+	first pitFace
+	more  []pitFace
 	// attempts counts upstream sends so far (1 after the initial
 	// forward); the retry budget caps it at 1+MaxRetries.
 	attempts int
@@ -244,6 +255,12 @@ type pitEntry struct {
 	// attributed to it (aggregated requests observe recovery only
 	// through their own return-path events).
 	primaryReq int64
+	// gen counts how often the record has been released to its pool. A
+	// retransmission timer remembers the generation it was armed for, so
+	// a timer outliving its entry cannot mistake a recycled record at the
+	// same (router, content) for the one it guards.
+	gen  uint32
+	next *pitEntry
 }
 
 // node is one CCN router: content store plus PIT, with activity
@@ -306,6 +323,7 @@ type Network struct {
 	// counters are only reachable on serial-only code paths (loss,
 	// faults, queueing) and stay plain fields.
 	tx               []txShard
+	pools            []recordPool // free lists, one per executor like tx
 	droppedInterests int64
 	droppedData      int64
 	retransmissions  int64
@@ -418,6 +436,7 @@ func buildNetwork(g *topology.Graph, cat *catalog.Catalog, opts Options) (*Netwo
 		opts:         opts,
 		originRouter: -1,
 		tx:           make([]txShard, 1),
+		pools:        make([]recordPool, 1),
 	}
 	if opts.LossRate > 0 || opts.Faults || opts.Mode == CacheProb {
 		seed := opts.LossSeed
@@ -787,30 +806,33 @@ func (n *Network) flushPIT(nd *node) {
 		if n.opts.Tracer != nil {
 			n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindExpire, Router: int(nd.id), Content: int64(id), Detail: "crash-flush", Req: entry.primaryReq})
 		}
-		for _, f := range entry.faces {
-			if f.request != nil {
-				n.failRequest(nd.id, id, f.request)
-			}
+		n.dropEntry(nd.id, id, entry)
+	}
+}
+
+// dropEntry abandons an entry already removed from router nid's PIT
+// without data: client faces complete as Failed, neighbor faces are
+// left to their own routers' retry timers, and the record is recycled.
+func (n *Network) dropEntry(nid topology.NodeID, id catalog.ID, entry *pitEntry) {
+	if entry.first.request != nil {
+		n.failRequest(nid, id, entry.first.request)
+	}
+	for _, f := range entry.more {
+		if f.request != nil {
+			n.failRequest(nid, id, f.request)
 		}
 	}
+	n.releaseEntry(nid, entry)
 }
 
 // failRequest completes a client request as Failed after the access
 // hop back to the client.
 func (n *Network) failRequest(nid topology.NodeID, id catalog.ID, req *pendingRequest) {
 	n.failedRequests++
-	result := RequestResult{
-		Content:     id,
-		Router:      nid,
-		IssuedAt:    req.issuedAt,
-		Hops:        0,
-		Server:      -1,
-		ServedBy:    ServedNone,
-		Failed:      true,
-		CompletedAt: n.eng.Now() + n.opts.AccessLatency,
-		Req:         req.req,
-	}
-	if err := n.eng.Schedule(n.opts.AccessLatency, func() { req.done(result) }); err != nil {
+	p := n.newPacket(nid, pktComplete, nid, id, req.req)
+	p.peer, p.request, p.failed = -1, req, true
+	p.completedAt = n.eng.Now() + n.opts.AccessLatency
+	if err := n.send(nid, n.opts.AccessLatency, p); err != nil {
 		panic(fmt.Sprintf("ccn: scheduling failure completion: %v", err))
 	}
 }
@@ -858,14 +880,13 @@ func (n *Network) RequestWithID(router topology.NodeID, id catalog.ID, reqID int
 		return fmt.Errorf("ccn: content %d outside catalog", id)
 	}
 	if done == nil {
-		done = func(RequestResult) {}
+		done = noopDone
 	}
-	req := &pendingRequest{issuedAt: n.nowAt(router), done: done, req: reqID}
 	// The interest reaches the first-hop router after the access
 	// latency.
-	return n.schedFrom(router, router, n.opts.AccessLatency, func() {
-		n.handleInterest(router, id, pitFace{request: req, req: req.req})
-	})
+	p := n.newPacket(router, pktInterest, router, id, reqID)
+	p.request = n.newRequest(router, reqID, done)
+	return n.send(router, n.opts.AccessLatency, p)
 }
 
 // handleInterest processes an interest for id arriving at router nid
@@ -906,13 +927,13 @@ func (n *Network) handleInterest(nid topology.NodeID, id catalog.ID, from pitFac
 		// equal Req/N pair marks a retransmitted interest rejoining its
 		// own entry, not a true aggregation.
 		nd.aggregated++
-		entry.faces = append(entry.faces, from)
+		entry.more = append(entry.more, from)
 		if n.opts.Tracer != nil {
 			n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindAggregate, Router: int(nid), Content: int64(id), Req: from.req, N: entry.primaryReq})
 		}
 		return
 	}
-	entry := &pitEntry{faces: []pitFace{from}, attempts: 1, primaryReq: from.req}
+	entry := n.newEntry(nid, from)
 	nd.pit[id] = entry
 	if len(nd.pit) > nd.pitPeak {
 		nd.pitPeak = len(nd.pit)
@@ -966,10 +987,11 @@ func (n *Network) armRetx(nid topology.NodeID, id catalog.ID, entry *pitEntry) {
 	if n.opts.RetxJitter > 0 {
 		delay *= 1 + n.opts.RetxJitter*n.rng.Float64()
 	}
+	gen := entry.gen
 	if err := n.eng.Schedule(delay, func() {
 		nd := n.nodes[nid]
-		if cur, pending := nd.pit[id]; !pending || cur != entry {
-			return // satisfied or flushed; the chain ends
+		if cur, pending := nd.pit[id]; !pending || cur != entry || cur.gen != gen {
+			return // satisfied or flushed (and perhaps recycled); the chain ends
 		}
 		if n.crashedRouter(nid) {
 			return // the router died after arming; flushPIT handled it
@@ -982,11 +1004,7 @@ func (n *Network) armRetx(nid topology.NodeID, id catalog.ID, entry *pitEntry) {
 			if n.opts.Tracer != nil {
 				n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindExpire, Router: int(nid), Content: int64(id), N: int64(entry.attempts), Req: entry.primaryReq})
 			}
-			for _, f := range entry.faces {
-				if f.request != nil {
-					n.failRequest(nid, id, f.request)
-				}
-			}
+			n.dropEntry(nid, id, entry)
 			return
 		}
 		n.retransmissions++
@@ -1091,25 +1109,11 @@ func (n *Network) forwardToOrigin(nid topology.NodeID, id catalog.ID, req int64,
 			}
 			return
 		}
-		dataLost := n.lost() // drawn now to keep the sequence deterministic
 		// The origin round trip starts and ends at nid, so the fetch is
 		// shard-local whatever the partition.
-		if err := n.schedFrom(nid, nid, n.originDataDelay(nid), func() {
-			// Data arrives back at this router after the uplink round
-			// trip; the uplink itself counts as one hop.
-			n.txAt(nid).data++
-			if n.opts.Tracer != nil {
-				n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindData, Router: -1, Peer: int(nid), Content: int64(id), Hops: 1, Req: req})
-			}
-			if dataLost {
-				n.droppedData++
-				if n.opts.Tracer != nil {
-					n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindDrop, Router: -1, Peer: int(nid), Content: int64(id), Detail: "loss-data", Req: req})
-				}
-				return
-			}
-			n.dataArrival(nid, id, 1, -1, req)
-		}); err != nil {
+		p := n.newPacket(nid, pktOriginData, nid, id, req)
+		p.lost = n.lost() // drawn now to keep the sequence deterministic
+		if err := n.send(nid, n.originDataDelay(nid), p); err != nil {
 			panic(fmt.Sprintf("ccn: scheduling origin fetch: %v", err))
 		}
 		return
@@ -1124,6 +1128,24 @@ func (n *Network) forwardToOrigin(nid topology.NodeID, id catalog.ID, req int64,
 		return
 	}
 	n.forwardInterest(nid, next, id, req, cause)
+}
+
+// originDataReturn completes an origin fetch: data arrives back at
+// router nid after the uplink round trip, and the uplink itself counts
+// as one hop.
+func (n *Network) originDataReturn(nid topology.NodeID, id catalog.ID, req int64, dataLost bool) {
+	n.txAt(nid).data++
+	if n.opts.Tracer != nil {
+		n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindData, Router: -1, Peer: int(nid), Content: int64(id), Hops: 1, Req: req})
+	}
+	if dataLost {
+		n.droppedData++
+		if n.opts.Tracer != nil {
+			n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindDrop, Router: -1, Peer: int(nid), Content: int64(id), Detail: "loss-data", Req: req})
+		}
+		return
+	}
+	n.dataArrival(nid, id, 1, -1, req)
 }
 
 // forwardInterest transmits an interest from nid to neighbor next.
@@ -1152,9 +1174,9 @@ func (n *Network) forwardInterest(nid, next topology.NodeID, id catalog.ID, req 
 		}
 		return
 	}
-	if err := n.schedFrom(nid, next, linkLat, func() {
-		n.handleInterest(next, id, pitFace{neighbor: nid, req: req})
-	}); err != nil {
+	p := n.newPacket(nid, pktInterest, next, id, req)
+	p.peer = nid
+	if err := n.send(nid, linkLat, p); err != nil {
 		panic(fmt.Sprintf("ccn: scheduling interest: %v", err))
 	}
 }
@@ -1201,27 +1223,21 @@ func (n *Network) dataArrival(nid topology.NodeID, id catalog.ID, hops int, serv
 		return // stale data (e.g. PIT satisfied by a CS hit meanwhile)
 	}
 	delete(nd.pit, id)
-	for _, f := range entry.faces {
+	n.respond(nid, id, entry.first, hops, server)
+	for _, f := range entry.more {
 		n.respond(nid, id, f, hops, server)
 	}
+	n.releaseEntry(nid, entry)
 }
 
 // respond sends data for id from router nid to one downstream face:
 // either completing a client request or forwarding one hop down.
 func (n *Network) respond(nid topology.NodeID, id catalog.ID, f pitFace, hops int, server topology.NodeID) {
 	if f.request != nil {
-		req := f.request
-		result := RequestResult{
-			Content:     id,
-			Router:      nid,
-			IssuedAt:    req.issuedAt,
-			Hops:        hops,
-			Server:      server,
-			ServedBy:    tierOf(hops, server, nid),
-			CompletedAt: n.nowAt(nid) + n.opts.AccessLatency,
-			Req:         req.req,
-		}
-		if err := n.schedFrom(nid, nid, n.opts.AccessLatency, func() { req.done(result) }); err != nil {
+		p := n.newPacket(nid, pktComplete, nid, id, f.req)
+		p.peer, p.hops, p.request = server, hops, f.request
+		p.completedAt = n.nowAt(nid) + n.opts.AccessLatency
+		if err := n.send(nid, n.opts.AccessLatency, p); err != nil {
 			panic(fmt.Sprintf("ccn: scheduling completion: %v", err))
 		}
 		return
@@ -1253,10 +1269,9 @@ func (n *Network) respond(nid topology.NodeID, id catalog.ID, f pitFace, hops in
 		}
 		return
 	}
-	h := hops + 1
-	if err := n.schedFrom(nid, next, n.dataDelay(nid, next, linkLat), func() {
-		n.dataArrival(next, id, h, server, f.req)
-	}); err != nil {
+	p := n.newPacket(nid, pktData, next, id, f.req)
+	p.peer, p.hops = server, hops+1
+	if err := n.send(nid, n.dataDelay(nid, next, linkLat), p); err != nil {
 		panic(fmt.Sprintf("ccn: scheduling data: %v", err))
 	}
 }

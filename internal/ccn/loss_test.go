@@ -297,3 +297,56 @@ func TestCacheProbThinsReplicas(t *testing.T) {
 		t.Error("probabilistic caching stored nothing at p=0.2 over 50 arrivals")
 	}
 }
+
+// TestStaleRetxTimerIgnoresRecycledEntry: a retransmission timer that
+// outlives its PIT entry must not adopt the next entry for the same
+// (router, content), even when the pool hands the new interest the very
+// same record. On the fault-aware triangle (timers arm without loss) the
+// first fetch of content 50 from R2 is satisfied at t=111, long before
+// its 200 ms timer; a second fetch re-enters R2's PIT at t=151, so the
+// old timer fires at t=201 on a live, recycled entry. Nothing was lost,
+// so nothing may be retransmitted or expired — the counts the plane
+// produced before entries were pooled.
+func TestStaleRetxTimerIgnoresRecycledEntry(t *testing.T) {
+	eng, net := triangle(t, func(o *Options) { o.RetxTimeout = 200 })
+
+	const id = catalog.ID(50) // outside the directory: fetched from the origin via R0
+	var results []RequestResult
+	issue := func() {
+		if err := net.Request(2, id, func(r RequestResult) { results = append(results, r) }); err != nil {
+			t.Error(err)
+		}
+	}
+	// sample notes R2's pending entry for the content while each fetch
+	// is in flight, to show the second one reuses the record.
+	var entries []*pitEntry
+	sample := func() { entries = append(entries, net.nodes[2].pit[id]) }
+	for _, ev := range []struct {
+		at float64
+		fn func()
+	}{{0, issue}, {50, sample}, {150, issue}, {200.5, sample}} {
+		if err := eng.At(ev.at, ev.fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.Run()
+
+	if len(entries) != 2 || entries[0] == nil || entries[0] != entries[1] {
+		t.Fatalf("the second interest did not recycle the first one's PIT entry (%p, %p); the test no longer exercises the stale timer", entries[0], entries[1])
+	}
+	if len(results) != 2 {
+		t.Fatalf("%d of 2 requests completed", len(results))
+	}
+	for i, r := range results {
+		// R2 -> R0 -> origin and back: 2*(1 + 5 + 50) = 112.
+		if r.Failed || r.Latency() != 112 {
+			t.Errorf("request %d: failed=%v latency=%v, want an origin fetch in 112 ms", i, r.Failed, r.Latency())
+		}
+	}
+	if got := net.Retransmissions(); got != 0 {
+		t.Errorf("Retransmissions() = %d, want 0: a stale timer re-sent a recycled entry's interest", got)
+	}
+	if got := net.ExpiredInterests(); got != 0 {
+		t.Errorf("ExpiredInterests() = %d, want 0", got)
+	}
+}

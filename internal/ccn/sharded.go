@@ -56,6 +56,7 @@ func NewShardedNetwork(se *des.Sharded, shardOf []int32, g *topology.Graph, cat 
 	n.se = se
 	n.shardOf = shardOf
 	n.tx = make([]txShard, se.Shards())
+	n.pools = make([]recordPool, se.Shards())
 	return n, nil
 }
 

@@ -254,6 +254,21 @@ type prepared struct {
 	err  error
 }
 
+// batchCursor replays a prepared batch as one self-rescheduling arrival
+// event — the same lazy layout sim.Run uses — so a batch costs the
+// engine one queued arrival at a time instead of one closure and one
+// heap slot per request. The daemon owns a single cursor; its callbacks
+// are bound once in New.
+type batchCursor struct {
+	reqs []arrival
+	next int     // index of the arrival the pending tick issues
+	t    float64 // that arrival's virtual time
+	err  error   // first issue or scheduling failure; ends the replay
+
+	tick func()                  // d.issueNext
+	done func(ccn.RequestResult) // d.onComplete
+}
+
 // Daemon is one hosted network plus its service machinery. Construct
 // with New, then Start; Drain ends the service.
 type Daemon struct {
@@ -303,6 +318,7 @@ type Daemon struct {
 	eOrigin     int64
 	eLatencySum float64
 	eHopsSum    int64
+	cursor      batchCursor
 
 	tot totals
 }
@@ -357,6 +373,7 @@ func New(cfg Config, health *obs.Health, progress *obs.Progress) (*Daemon, error
 		parts:      make([]*cache.Partitioned, n),
 		counts:     make(map[catalog.ID]int64),
 	}
+	d.cursor.tick, d.cursor.done = d.issueNext, d.onComplete
 	for i := range d.routers {
 		d.routers[i] = topology.NodeID(i)
 	}
@@ -753,26 +770,19 @@ func (d *Daemon) runBatch(p prepared) {
 		d.progress.SimStarted()
 	}
 	start := d.eng.Now()
-	t := start
-	var schedErr error
-	for _, a := range p.reqs {
-		t += a.gap
-		a := a
-		if err := d.eng.At(t, func() {
-			if err := d.net.Request(a.router, a.content, d.onComplete); err != nil && schedErr == nil {
-				schedErr = err
-			}
-		}); err != nil {
-			schedErr = err
-			break
-		}
+	c := &d.cursor
+	c.reqs, c.next, c.t, c.err = p.reqs, 0, start, nil
+	if len(c.reqs) > 0 {
+		c.t += c.reqs[0].gap
+		c.err = d.eng.At(c.t, c.tick)
 	}
 	d.eng.Run()
+	c.reqs = nil
 	if d.progress != nil {
 		d.progress.SimFinished(int64(len(p.reqs)))
 	}
-	if schedErr != nil {
-		d.fail(fmt.Errorf("daemon: batch %d: %w", p.seq, schedErr))
+	if c.err != nil {
+		d.fail(fmt.Errorf("daemon: batch %d: %w", p.seq, c.err))
 		return
 	}
 
@@ -799,6 +809,21 @@ func (d *Daemon) runBatch(p prepared) {
 	if d.cfg.TimeRatio > 0 {
 		advance := d.eng.Now() - start
 		time.Sleep(time.Duration(advance / d.cfg.TimeRatio * float64(time.Millisecond)))
+	}
+}
+
+// issueNext is the cursor's arrival event: issue the due request, then
+// queue the tick for the one after it.
+func (d *Daemon) issueNext() {
+	c := &d.cursor
+	a := c.reqs[c.next]
+	c.next++
+	if c.err = d.net.Request(a.router, a.content, c.done); c.err != nil {
+		return
+	}
+	if c.next < len(c.reqs) {
+		c.t += c.reqs[c.next].gap
+		c.err = d.eng.At(c.t, c.tick)
 	}
 }
 

@@ -276,3 +276,23 @@ func TestTierLatenciesGammaDegenerate(t *testing.T) {
 		t.Errorf("non-monotone tiers gamma = %v, want 0", g)
 	}
 }
+
+// TestLossCountersPinned pins the retransmission and expiry counts of
+// the ablation-loss scenario (experiments.AblationLoss at its lossiest
+// row) to the values the plane produced before PIT entries were pooled.
+// A retransmission timer that adopted a recycled entry would start a
+// second retry chain and inflate both.
+func TestLossCountersPinned(t *testing.T) {
+	sc := testScenario()
+	sc.CatalogSize, sc.Capacity, sc.Coordinated = 20000, 150, 75
+	sc.Requests, sc.Seed = 20000, 17
+	sc.LossRate, sc.RetxTimeout = 0.2, 300
+	res, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Retransmissions != 17237 || res.ExpiredInterests != 7 {
+		t.Errorf("retransmissions %d, expired interests %d; want 17237 and 7",
+			res.Retransmissions, res.ExpiredInterests)
+	}
+}
