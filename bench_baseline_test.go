@@ -17,7 +17,7 @@ import (
 // instead of silently missing the new numbers. Regenerate from the
 // module root with
 //
-//	go run ./cmd/ccnbench -pkg '. ./internal/ccn@20x ./internal/cache@1000000x'
+//	go run ./cmd/ccnbench -pkg '. ./internal/ccn@20x ./internal/cache@1000000x ./internal/coord@50x'
 //
 // and delete the file it replaces.
 func TestBenchBaseline(t *testing.T) {
@@ -30,8 +30,8 @@ func TestBenchBaseline(t *testing.T) {
 	}
 	// Top-level benchmarks of bench_test.go plus their fixed
 	// sub-benchmarks, then the per-layer rows ccnbench sweeps in from
-	// internal/ccn and internal/cache. Keep in sync when adding
-	// benchmarks.
+	// internal/ccn, internal/cache and internal/coord. Keep in sync when
+	// adding benchmarks.
 	required := []string{
 		"BenchmarkTableI", "BenchmarkTableII", "BenchmarkTableIII", "BenchmarkTableIV",
 		"BenchmarkFig4", "BenchmarkFig5", "BenchmarkFig6", "BenchmarkFig7",
@@ -55,6 +55,7 @@ func TestBenchBaseline(t *testing.T) {
 		"BenchmarkRoutingScale/LRU/n=100", "BenchmarkRoutingScale/LRU/n=1000",
 		"BenchmarkRoutingScale/LRU/n=10000", "BenchmarkRoutingScale/LRU/n=100000",
 		"BenchmarkForwardHop", "BenchmarkLRUInsertLookup",
+		"BenchmarkRunEpoch/reports", "BenchmarkRunEpoch/tally",
 	}
 	for _, n := range []int{100, 1000, 10000, 100000} {
 		for _, p := range []int{1, 2, 4, 8} {
@@ -103,6 +104,15 @@ func TestBenchBaseline(t *testing.T) {
 			}
 			if rec.Extra["allocs/hop"] > 0.1 {
 				t.Errorf("%s: forwarding allocates %.2f times per hop, want <= 0.1", path, rec.Extra["allocs/hop"])
+			}
+		}
+		// A coordination epoch is read in ms, next to the daemon's
+		// replan_wall_ms.
+		for _, name := range []string{"BenchmarkRunEpoch/reports", "BenchmarkRunEpoch/tally"} {
+			if rec := suite.Find(name); rec != nil {
+				if _, ok := rec.Extra["ms/epoch"]; !ok {
+					t.Errorf("%s: %s missing \"ms/epoch\" column", path, name)
+				}
 			}
 		}
 		// The sharded-engine scale sweep must carry its custom columns,

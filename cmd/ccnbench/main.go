@@ -8,7 +8,7 @@
 //	ccnbench                          # full suite, BENCH_<today>.json
 //	ccnbench -bench 'SimRun' -benchtime 5x
 //	ccnbench -out results/ -date 2026-08-05
-//	ccnbench -pkg '. ./internal/ccn@20x ./internal/cache@1000000x'
+//	ccnbench -pkg '. ./internal/ccn@20x ./internal/cache@1000000x ./internal/coord@50x'
 //	ccnbench -diff BENCH_2026-08-05.json BENCH_2026-09-01.json
 //	ccnbench -diff old-manifest.json new-manifest.json
 //

@@ -49,7 +49,10 @@ func (a *Adaptive) Epoch(reports []Report) (*Placement, Cost, error) {
 	if len(reports) == 0 {
 		return nil, Cost{}, fmt.Errorf("coord: no reports")
 	}
-	s, err := EstimateZipf(aggregate(reports), 10000)
+	// One aggregation feeds both the estimator and the placement; each
+	// ranks the pairs afresh, so the reordering the first leaves is moot.
+	counts := countsOf(aggregate(reports))
+	s, err := estimateZipf(counts, 10000)
 	if err == nil {
 		// The analytical model excludes the singular point s = 1 and the
 		// tail beyond 2; clamp the estimate into its domain.
@@ -73,5 +76,5 @@ func (a *Adaptive) Epoch(reports []Report) (*Placement, Cost, error) {
 	coordSlots := int64(math.Round(x))
 	localSlots := int64(cfg.C) - coordSlots
 	a.lastLevel = x / cfg.C
-	return a.coordinator.RunEpoch(reports, localSlots, coordSlots)
+	return a.coordinator.RunEpochCounts(counts, localSlots, coordSlots)
 }

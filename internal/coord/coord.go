@@ -13,7 +13,6 @@ package coord
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"ccncoord/internal/catalog"
 	"ccncoord/internal/topology"
@@ -175,7 +174,13 @@ func (c Cost) Total() int64 { return c.MessagesUp + c.MessagesDown }
 
 // aggregate merges reports into global counts.
 func aggregate(reports []Report) map[catalog.ID]int64 {
-	global := make(map[catalog.ID]int64)
+	// The union is at least as large as the largest report; starting
+	// there skips the map's early doublings.
+	largest := 0
+	for _, rep := range reports {
+		largest = max(largest, len(rep.Counts))
+	}
+	global := make(map[catalog.ID]int64, largest)
 	for _, rep := range reports {
 		for id, c := range rep.Counts {
 			global[id] += c
@@ -184,46 +189,39 @@ func aggregate(reports []Report) map[catalog.ID]int64 {
 	return global
 }
 
-// rankByCount orders contents by descending observed count, breaking
-// ties by ascending id so the placement is deterministic.
-func rankByCount(counts map[catalog.ID]int64) []catalog.ID {
-	ids := make([]catalog.ID, 0, len(counts))
-	for id := range counts {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		if counts[ids[i]] != counts[ids[j]] {
-			return counts[ids[i]] > counts[ids[j]]
-		}
-		return ids[i] < ids[j]
-	})
-	return ids
-}
-
 // ComputePlacement derives the epoch placement from router reports:
 // the globally most popular localSlots contents form the replicated
 // local set and the next n*coordSlots form the striped coordinated band.
 func ComputePlacement(reports []Report, routers []topology.NodeID, localSlots, coordSlots int64) (*Placement, error) {
+	return placeByCount(countsOf(aggregate(reports)), routers, localSlots, coordSlots)
+}
+
+// placeByCount is ComputePlacement on already-aggregated global counts,
+// one entry per content. It reorders counts.
+func placeByCount(counts []Count, routers []topology.NodeID, localSlots, coordSlots int64) (*Placement, error) {
 	if len(routers) == 0 {
 		return nil, fmt.Errorf("coord: no routers")
 	}
 	if localSlots < 0 || coordSlots < 0 {
 		return nil, fmt.Errorf("coord: negative slot counts (%d, %d)", localSlots, coordSlots)
 	}
-	ranked := rankByCount(aggregate(reports))
-	local := ranked
-	if int64(len(local)) > localSlots {
-		local = local[:localSlots]
+	// The placement reads the first localSlots + n*coordSlots ranks and
+	// nothing behind them; dividing instead of multiplying keeps slot
+	// counts near MaxInt64 from overflowing.
+	k := int64(len(counts))
+	if n := int64(len(routers)); localSlots < k && coordSlots <= (k-localSlots)/n {
+		k = localSlots + n*coordSlots
 	}
-	rest := ranked[len(local):]
-	asg, err := StripeByRank(routers, rest, coordSlots)
+	ranked := make([]catalog.ID, k)
+	for i, c := range rankTop(counts, int(k)) {
+		ranked[i] = c.ID
+	}
+	local := ranked[:min(localSlots, k)]
+	asg, err := StripeByRank(routers, ranked[len(local):], coordSlots)
 	if err != nil {
 		return nil, err
 	}
-	return &Placement{
-		LocalSet:   append([]catalog.ID(nil), local...),
-		Assignment: asg,
-	}, nil
+	return &Placement{LocalSet: append([]catalog.ID(nil), local...), Assignment: asg}, nil
 }
 
 // Centralized models the conceptually centralized coordinator of the
@@ -256,7 +254,13 @@ func (c *Centralized) UnitCost() float64 { return c.unitCost }
 // RunEpoch computes the placement for the given reports and capacity
 // split, returning the placement and the measured protocol cost.
 func (c *Centralized) RunEpoch(reports []Report, localSlots, coordSlots int64) (*Placement, Cost, error) {
-	p, err := ComputePlacement(reports, c.routers, localSlots, coordSlots)
+	return c.RunEpochCounts(countsOf(aggregate(reports)), localSlots, coordSlots)
+}
+
+// RunEpochCounts is RunEpoch on already-aggregated global counts, one
+// entry per content — what a Tally folds to. It reorders counts.
+func (c *Centralized) RunEpochCounts(counts []Count, localSlots, coordSlots int64) (*Placement, Cost, error) {
+	p, err := placeByCount(counts, c.routers, localSlots, coordSlots)
 	if err != nil {
 		return nil, Cost{}, err
 	}
@@ -323,19 +327,22 @@ func (d *Distributed) RunEpoch(reports []Report, localSlots, coordSlots int64) (
 // work: the coordinator never needs the true s, only request
 // observations.
 func EstimateZipf(counts map[catalog.ID]int64, maxRanks int) (float64, error) {
+	return estimateZipf(countsOf(counts), maxRanks)
+}
+
+// estimateZipf is EstimateZipf on pair-form counts, which it reorders.
+func estimateZipf(counts []Count, maxRanks int) (float64, error) {
 	const minRanks = 5
-	ranked := rankByCount(counts)
-	if maxRanks > 0 && len(ranked) > maxRanks {
-		ranked = ranked[:maxRanks]
+	if maxRanks <= 0 {
+		maxRanks = len(counts)
 	}
 	var xs, ys []float64
-	for i, id := range ranked {
-		c := counts[id]
-		if c <= 0 {
+	for i, c := range rankTop(counts, maxRanks) {
+		if c.N <= 0 {
 			continue
 		}
 		xs = append(xs, math.Log(float64(i+1)))
-		ys = append(ys, math.Log(float64(c)))
+		ys = append(ys, math.Log(float64(c.N)))
 	}
 	if len(xs) < minRanks {
 		return 0, fmt.Errorf("coord: need at least %d observed contents to estimate s, have %d", minRanks, len(xs))

@@ -308,8 +308,8 @@ type Daemon struct {
 	coordinator *coord.Centralized
 	epoch       int64
 	restored    bool
-	counts      map[catalog.ID]int64   // cumulative popularity sketch (checkpointed)
-	epochCounts []map[catalog.ID]int64 // per-router counts since the last re-plan
+	counts      []int64      // cumulative popularity by content id, as of the last fold (checkpointed)
+	tally       *coord.Tally // observations since the last fold
 	sinceReplan int64
 	eCompleted  int64
 	eFailed     int64
@@ -371,28 +371,29 @@ func New(cfg Config, health *obs.Health, progress *obs.Progress) (*Daemon, error
 		eng:        &des.Engine{},
 		routers:    make([]topology.NodeID, n),
 		parts:      make([]*cache.Partitioned, n),
-		counts:     make(map[catalog.ID]int64),
 	}
 	d.cursor.tick, d.cursor.done = d.issueNext, d.onComplete
 	for i := range d.routers {
 		d.routers[i] = topology.NodeID(i)
 	}
-	d.epochCounts = make([]map[catalog.ID]int64, n)
-	for i := range d.epochCounts {
-		d.epochCounts[i] = make(map[catalog.ID]int64)
+	if d.tally, err = coord.NewTally(n, cfg.CatalogSize); err != nil {
+		return nil, fmt.Errorf("daemon: building tally: %w", err)
 	}
+	d.counts = make([]int64, cfg.CatalogSize+1)
 
 	if err := d.provision(); err != nil {
 		return nil, err
 	}
 
+	// Every router replicates the same local set; a Static is immutable,
+	// so one store serves them all.
+	local, err := cache.NewStatic(d.localSet)
+	if err != nil {
+		return nil, fmt.Errorf("daemon: building local store: %w", err)
+	}
 	net, err := ccn.NewNetwork(d.eng, cfg.Topology, cat, ccn.Options{
 		AccessLatency: cfg.AccessLatency,
 		Stores: func(id topology.NodeID) (cache.Store, error) {
-			local, err := cache.NewStatic(d.localSet)
-			if err != nil {
-				return nil, err
-			}
 			coordStore, err := cache.NewStatic(d.coordAsg.Contents(id))
 			if err != nil {
 				return nil, err
@@ -481,8 +482,11 @@ func (d *Daemon) restore(path string) error {
 	d.coordAsg = cp.Placement.Assignment
 	d.localSet = append([]catalog.ID(nil), cp.Placement.LocalSet...)
 	d.epoch = cp.Epoch
-	if cp.Stats != nil {
-		d.counts = cp.Stats
+	for id, count := range cp.Stats {
+		if id < 1 || int64(id) > d.cfg.CatalogSize {
+			return fmt.Errorf("daemon: checkpoint %s counts content %d, outside this catalog [1, %d]", path, id, d.cfg.CatalogSize)
+		}
+		d.counts[id] = count
 	}
 	d.restored = true
 	return nil
@@ -836,8 +840,10 @@ func (d *Daemon) onComplete(r ccn.RequestResult) {
 		return
 	}
 	d.eCompleted++
-	d.counts[r.Content]++
-	d.epochCounts[r.Router][r.Content]++
+	d.tally.Observe(r.Router, r.Content)
+	if d.cfg.EpochRequests < 0 && d.tally.Len() >= foldChunk {
+		d.fold()
+	}
 	switch r.ServedBy {
 	case ccn.ServedLocal:
 		d.eLocal++
@@ -850,6 +856,21 @@ func (d *Daemon) onComplete(r ccn.RequestResult) {
 	d.eHopsSum += int64(r.Hops)
 }
 
+// foldChunk bounds the tally when re-planning is off and no epoch ever
+// drains it: every foldChunk observations fold into the cumulative
+// counts.
+const foldChunk = 1 << 16
+
+// fold drains the tally into the cumulative popularity counts and
+// returns the drained observations in coordinator form.
+func (d *Daemon) fold() coord.Folded {
+	f := d.tally.Fold()
+	for _, c := range f.Counts {
+		d.counts[c.ID] += c.N
+	}
+	return f
+}
+
 // replan runs one coordination epoch from the popularity each router
 // observed since the last one, installs the new placement into the
 // live stores and directory, checkpoints, and appends the epoch's
@@ -858,18 +879,9 @@ func (d *Daemon) onComplete(r ccn.RequestResult) {
 func (d *Daemon) replan() {
 	wallStart := time.Now()
 	epochRequests := d.sinceReplan
-	reports := make([]coord.Report, len(d.routers))
-	var reported, maxReport int64
-	for i, r := range d.routers {
-		reports[i] = coord.Report{Router: r, Counts: d.epochCounts[i]}
-		card := int64(len(d.epochCounts[i]))
-		reported += card
-		if card > maxReport {
-			maxReport = card
-		}
-	}
+	observed := d.fold()
 	localSlots := d.cfg.Capacity - d.cfg.Coordinated
-	placement, cost, err := d.coordinator.RunEpoch(reports, localSlots, d.cfg.Coordinated)
+	placement, cost, err := d.coordinator.RunEpochCounts(observed.Counts, localSlots, d.cfg.Coordinated)
 	if err != nil {
 		d.fail(fmt.Errorf("daemon: re-planning epoch %d: %w", d.epoch+1, err))
 		return
@@ -883,9 +895,6 @@ func (d *Daemon) replan() {
 	}
 	d.epoch++
 	d.sinceReplan = 0
-	for i := range d.epochCounts {
-		d.epochCounts[i] = make(map[catalog.ID]int64)
-	}
 	d.tot.mu.Lock()
 	d.tot.epoch = d.epoch
 	d.tot.replans++
@@ -912,8 +921,8 @@ func (d *Daemon) replan() {
 		CoordSlots:       d.cfg.Coordinated,
 		Level:            float64(d.cfg.Coordinated) / float64(d.cfg.Capacity),
 		Churn:            churn,
-		ReportedContents: reported,
-		MaxReport:        maxReport,
+		ReportedContents: observed.Reported,
+		MaxReport:        observed.MaxReport,
 		WallMs:           float64(time.Since(wallStart)) / float64(time.Millisecond),
 	})
 
@@ -937,11 +946,11 @@ func (d *Daemon) install(p *coord.Placement) error {
 		return err
 	}
 	d.localSet = append([]catalog.ID(nil), p.LocalSet...)
+	local, err := cache.NewStatic(d.localSet)
+	if err != nil {
+		return err
+	}
 	for i, part := range d.parts {
-		local, err := cache.NewStatic(d.localSet)
-		if err != nil {
-			return err
-		}
 		coordStore, err := cache.NewStatic(d.coordAsg.Contents(topology.NodeID(i)))
 		if err != nil {
 			return err
@@ -956,10 +965,20 @@ func (d *Daemon) install(p *coord.Placement) error {
 // the identical file — the restart-equivalence property the lifecycle
 // tests and CI assert.
 func (d *Daemon) checkpoint() error {
+	// The sketch covers every completion, including the partial epoch
+	// still in the tally at the drain checkpoint (after a re-plan the
+	// tally is already empty).
+	d.fold()
+	stats := make(map[catalog.ID]int64)
+	for id, count := range d.counts {
+		if count != 0 {
+			stats[catalog.ID(id)] = count
+		}
+	}
 	cp := &coord.Checkpoint{
 		Epoch:     d.epoch,
 		Placement: &coord.Placement{LocalSet: d.localSet, Assignment: d.coordAsg},
-		Stats:     d.counts,
+		Stats:     stats,
 	}
 	if err := coord.SaveCheckpoint(d.cfg.CheckpointPath, cp); err != nil {
 		return fmt.Errorf("daemon: checkpointing: %w", err)
