@@ -190,10 +190,10 @@ type Options struct {
 	// keeps the dense matrix below topology.DenseAutoThreshold nodes —
 	// bit-identical to all prior behavior on the calibrated datasets —
 	// and switches to the LRU tree cache above it, where a dense matrix
-	// would be quadratic in memory. Fault-aware planes (Options.Faults)
-	// require the dense backend: incremental rerouting (DynAPSP) repairs
-	// a materialized matrix, so NewNetwork rejects Faults combined with
-	// a sparse backend rather than silently misrouting around outages.
+	// would be quadratic in memory. A fault-aware plane (Options.Faults)
+	// routes around outages with topology.LRUPaths whatever the backend:
+	// its first fault event swaps a dense matrix for an LRU table over
+	// the same graph, which below the threshold holds every tree.
 	Routing topology.Backend
 }
 
@@ -328,11 +328,10 @@ type Network struct {
 	droppedData      int64
 	retransmissions  int64
 
-	// Fault-layer state and counters (Options.Faults only). dyn is the
-	// incremental rerouting engine, attached lazily on the first fault
-	// event; n.lat always points at its current matrix afterwards.
-	dyn             *topology.DynAPSP
-	downLinks       map[[2]topology.NodeID]bool
+	// Fault-layer state and counters (Options.Faults only). faultRoutes
+	// is the fault-aware routing table, attached on the first fault
+	// event; n.lat points at it afterwards, and it holds the down links.
+	faultRoutes     *topology.LRUPaths
 	faultDrops      int64 // transmissions blackholed by down links/routers
 	expiredEntries  int64 // PIT entries whose retry budget ran out
 	failedRequests  int64 // client requests completed as Failed
@@ -413,8 +412,6 @@ func buildNetwork(g *topology.Graph, cat *catalog.Catalog, opts Options) (*Netwo
 		return nil, fmt.Errorf("ccn: CacheProb mode requires a probability in (0,1], got %v", opts.CacheProbability)
 	case opts.LinkRate < 0:
 		return nil, fmt.Errorf("ccn: negative link rate %v", opts.LinkRate)
-	case opts.Faults && opts.Routing.Resolve(g.N()) != topology.BackendDense:
-		return nil, fmt.Errorf("ccn: fault-aware plane requires the dense routing backend (incremental rerouting repairs a materialized matrix), got %q for %d nodes", opts.Routing.Resolve(g.N()), g.N())
 	}
 	if opts.MaxRetries == 0 {
 		opts.MaxRetries = DefaultMaxRetries
@@ -444,9 +441,6 @@ func buildNetwork(g *topology.Graph, cat *catalog.Catalog, opts Options) (*Netwo
 			seed = 1
 		}
 		n.rng = rand.New(rand.NewSource(seed))
-	}
-	if opts.Faults {
-		n.downLinks = make(map[[2]topology.NodeID]bool)
 	}
 	if opts.LinkRate > 0 {
 		n.linkBusy = make(map[[2]topology.NodeID]float64)
@@ -500,9 +494,9 @@ func (n *Network) Store(id topology.NodeID) (cache.Store, error) {
 }
 
 // Routes returns the routing backend the data plane is forwarding
-// with: the dense matrix by default (possibly a fault-repaired one
-// while outages are active), or the sparse backend Options.Routing
-// selected. Treat the result as read-only shared state.
+// with: the backend Options.Routing selected, or, once a fault event
+// has occurred, the fault-aware LRU table. Treat the result as
+// read-only shared state.
 func (n *Network) Routes() topology.PathProvider { return n.lat }
 
 // InterestTransmissions returns the total number of interest packet
@@ -686,7 +680,6 @@ func (n *Network) SetRouterState(r topology.NodeID, up bool) error {
 	if nd.crashed == !up {
 		return nil // idempotent
 	}
-	n.ensureDyn()
 	nd.crashed = !up
 	if n.opts.Tracer != nil {
 		detail := "router-up"
@@ -699,7 +692,7 @@ func (n *Network) SetRouterState(r topology.NodeID, up bool) error {
 		n.flushPIT(nd)
 	}
 	n.routeRecomputes++
-	n.lat = n.dyn.SetNode(r, up)
+	n.faultTable().SetNode(r, up)
 	return nil
 }
 
@@ -713,15 +706,8 @@ func (n *Network) SetLinkState(a, b topology.NodeID, up bool) error {
 	if !n.graph.HasEdge(a, b) {
 		return fmt.Errorf("ccn: no link (%d,%d)", a, b)
 	}
-	key := linkKey(a, b)
-	if n.downLinks[key] == !up {
+	if n.linkDown(a, b) == !up {
 		return nil // idempotent
-	}
-	n.ensureDyn()
-	if up {
-		delete(n.downLinks, key)
-	} else {
-		n.downLinks[key] = true
 	}
 	if n.opts.Tracer != nil {
 		detail := "link-up"
@@ -731,21 +717,13 @@ func (n *Network) SetLinkState(a, b topology.NodeID, up bool) error {
 		n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindFault, Router: int(a), Peer: int(b), Detail: detail})
 	}
 	n.routeRecomputes++
-	n.lat = n.dyn.SetLink(a, b, up)
+	n.faultTable().SetLink(a, b, up)
 	return nil
-}
-
-// linkKey normalizes an undirected link to a map key.
-func linkKey(a, b topology.NodeID) [2]topology.NodeID {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]topology.NodeID{a, b}
 }
 
 // linkDown reports whether the link (a, b) is out of service.
 func (n *Network) linkDown(a, b topology.NodeID) bool {
-	return len(n.downLinks) > 0 && n.downLinks[linkKey(a, b)]
+	return n.faultRoutes != nil && n.faultRoutes.LinkDown(a, b)
 }
 
 // crashed reports whether router r is down.
@@ -753,37 +731,23 @@ func (n *Network) crashedRouter(r topology.NodeID) bool {
 	return n.opts.Faults && n.nodes[r].crashed
 }
 
-// ensureDyn lazily attaches the incremental rerouting engine, which
-// repairs forwarding tables per fault event — recomputing only sources
-// whose shortest-path tree used the failed element — instead of
-// rebuilding the alive subgraph from scratch. Down links and every link
-// incident to a crashed router are excluded from routing, modeling an
-// instantly converged routing plane (the data plane's retry timers
-// cover the packets in flight during the transition). If fault state
-// already exists when the engine attaches (only possible after a
-// permanent FailLink reset it), the seed state is ordered
-// deterministically.
-func (n *Network) ensureDyn() {
-	if n.dyn != nil {
-		return
-	}
-	var downNodes []topology.NodeID
-	for _, nd := range n.nodes {
-		if nd.crashed {
-			downNodes = append(downNodes, nd.id)
+// faultTable returns the fault-aware routing table, attaching it on the
+// first fault event: the LRU backend already in use, or an LRU table
+// over the same graph in place of the dense matrix. Each event then
+// evicts only the shortest-path trees it changes. Down links and every
+// link incident to a crashed router are excluded from routing,
+// modeling an instantly converged routing plane (the data plane's
+// retry timers cover the packets in flight during the transition).
+func (n *Network) faultTable() *topology.LRUPaths {
+	if n.faultRoutes == nil {
+		rt, ok := n.lat.(*topology.LRUPaths)
+		if !ok {
+			rt = topology.NewLRUPaths(n.graph, 0)
 		}
+		n.faultRoutes = rt
+		n.lat = rt
 	}
-	downLinks := make([][2]topology.NodeID, 0, len(n.downLinks))
-	for key := range n.downLinks {
-		downLinks = append(downLinks, key)
-	}
-	sort.Slice(downLinks, func(i, j int) bool {
-		if downLinks[i][0] != downLinks[j][0] {
-			return downLinks[i][0] < downLinks[j][0]
-		}
-		return downLinks[i][1] < downLinks[j][1]
-	})
-	n.dyn = topology.NewDynAPSP(n.graph, downNodes, downLinks)
+	return n.faultRoutes
 }
 
 // flushPIT drops every pending entry of a crashing router: client

@@ -1,7 +1,6 @@
 package ccn
 
 import (
-	"strings"
 	"testing"
 
 	"ccncoord/internal/cache"
@@ -10,41 +9,64 @@ import (
 	"ccncoord/internal/topology"
 )
 
-// TestFaultsRequireDenseRouting pins the errored fallback: a
-// fault-aware plane cannot run on a sparse routing backend (incremental
-// rerouting repairs a materialized matrix), and NewNetwork must say so
-// instead of silently misrouting around outages.
-func TestFaultsRequireDenseRouting(t *testing.T) {
-	g := topology.New("g")
-	for i := 0; i < 3; i++ {
-		g.AddNode("", 0, 0)
-	}
-	g.MustAddEdge(0, 1, 1)
-	g.MustAddEdge(1, 2, 1)
-	cat, err := catalog.New(10, "/t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	stores := func(topology.NodeID) (cache.Store, error) { return cache.NewLRU(1) }
-
-	for _, b := range []topology.Backend{topology.BackendLRU, topology.BackendLandmark} {
-		_, err := NewNetwork(&des.Engine{}, g, cat, Options{
-			Stores: stores, Faults: true, RetxTimeout: 100, Routing: b,
+// TestFaultsRerouteOnEveryBackend crashes the shortcut router of a
+// square and checks that a fault-aware plane on each backend forwards
+// around it and back once it recovers, attaching one LRU table either
+// way.
+func TestFaultsRerouteOnEveryBackend(t *testing.T) {
+	for _, b := range []topology.Backend{topology.BackendAuto, topology.BackendDense, topology.BackendLRU} {
+		// 2 -> 1 -> 0 is the short way to the origin at 0; 2 -> 3 -> 0
+		// the detour.
+		g := topology.New("square")
+		for i := 0; i < 4; i++ {
+			g.AddNode("", 0, 0)
+		}
+		g.MustAddEdge(0, 1, 5)
+		g.MustAddEdge(1, 2, 5)
+		g.MustAddEdge(2, 3, 10)
+		g.MustAddEdge(3, 0, 10)
+		cat, err := catalog.New(100, "/t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := &des.Engine{}
+		net, err := NewNetwork(eng, g, cat, Options{
+			AccessLatency: 1,
+			Routing:       b,
+			Faults:        true,
+			RetxTimeout:   1000,
+			Stores: func(topology.NodeID) (cache.Store, error) {
+				return cache.NewLRU(0)
+			},
 		})
-		if err == nil {
-			t.Fatalf("Faults with %v backend should fail", b)
+		if err != nil {
+			t.Fatalf("%v backend: %v", b, err)
 		}
-		if !strings.Contains(err.Error(), "dense routing backend") {
-			t.Errorf("Faults with %v backend: unhelpful error %v", b, err)
+		if err := net.AttachOriginAt(0, 50); err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	// Dense (explicit or auto-resolved on a small graph) stays fine.
-	for _, b := range []topology.Backend{topology.BackendAuto, topology.BackendDense} {
-		if _, err := NewNetwork(&des.Engine{}, g, cat, Options{
-			Stores: stores, Faults: true, RetxTimeout: 100, Routing: b,
-		}); err != nil {
-			t.Errorf("Faults with %v backend: %v", b, err)
+		want := map[string]float64{
+			"all up":        2 * (1 + 5 + 5 + 50),
+			"router 1 down": 2 * (1 + 10 + 10 + 50),
+			"router 1 up":   2 * (1 + 5 + 5 + 50),
+		}
+		for _, stage := range []string{"all up", "router 1 down", "router 1 up"} {
+			switch stage {
+			case "router 1 down":
+				if err := net.SetRouterState(1, false); err != nil {
+					t.Fatal(err)
+				}
+			case "router 1 up":
+				if err := net.SetRouterState(1, true); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if res := runOne(t, eng, net, 2, 1); res.Failed || res.Latency() != want[stage] {
+				t.Errorf("%v backend, %s: latency %v (failed %v), want %v", b, stage, res.Latency(), res.Failed, want[stage])
+			}
+		}
+		if _, ok := net.Routes().(*topology.LRUPaths); !ok {
+			t.Errorf("%v backend: fault-aware plane routes with %T, want *topology.LRUPaths", b, net.Routes())
 		}
 	}
 }

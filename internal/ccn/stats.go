@@ -112,14 +112,17 @@ func (n *Network) FailLink(a, b topology.NodeID) error {
 		return fmt.Errorf("ccn: failing link %d-%d would disconnect the domain", a, b)
 	}
 	n.graph = trial
+	if n.faultRoutes != nil {
+		// The fault-aware table carries the outages still active
+		// onto the new graph.
+		n.faultRoutes = n.faultRoutes.Reroute(trial)
+		n.lat = n.faultRoutes
+		return nil
+	}
 	routes, err := topology.NewPathProvider(trial, n.opts.Routing)
 	if err != nil {
 		return fmt.Errorf("ccn: failing link %d-%d: %w", a, b, err)
 	}
 	n.lat = routes
-	// The permanent topology change invalidates any attached incremental
-	// rerouting engine; the next fault event re-attaches one to the new
-	// graph, seeded with whatever down state still exists.
-	n.dyn = nil
 	return nil
 }

@@ -162,8 +162,8 @@ type Scenario struct {
 	// zero value, topology.BackendAuto, keeps the dense matrix below
 	// topology.DenseAutoThreshold nodes — every calibrated-dataset run
 	// stays byte-identical — and switches to the LRU tree cache on
-	// larger generated graphs. Fault scenarios require the dense
-	// backend (incremental rerouting repairs a materialized matrix).
+	// larger generated graphs. Fault scenarios run on any backend: the
+	// data plane reroutes around outages with the LRU tree cache.
 	Routing topology.Backend
 
 	// WorkloadFactory, when non-nil, supplies each router's request
@@ -340,8 +340,6 @@ func (s Scenario) Validate() error {
 		return fmt.Errorf("sim: MTBF and MTTR must be set together")
 	case s.faultsEnabled() && !(s.RetxTimeout > 0):
 		return fmt.Errorf("sim: fault injection requires a positive retransmission timeout")
-	case s.faultsEnabled() && s.Routing.Resolve(s.Topology.N()) != topology.BackendDense:
-		return fmt.Errorf("sim: fault injection requires the dense routing backend, got %q for %d routers (incremental rerouting repairs a materialized matrix)", s.Routing.Resolve(s.Topology.N()), s.Topology.N())
 	case s.HeartbeatInterval < 0:
 		return fmt.Errorf("sim: negative heartbeat interval %v", s.HeartbeatInterval)
 	case s.HeartbeatMisses < 0:

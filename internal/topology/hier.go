@@ -16,7 +16,7 @@ import (
 // described (a small meshed core, tiers of aggregation below it, leaves
 // multi-homed for redundancy) and yields small diameters at huge node
 // counts — the regime where the dense O(n²) APSP is impossible and the
-// LRU/landmark backends earn their keep.
+// LRU backend earns its keep.
 
 // HierLevel describes one tier of a hierarchical topology.
 type HierLevel struct {
@@ -213,7 +213,7 @@ func ParseHierSpec(fanouts, lats, reds string) ([]HierLevel, error) {
 // diameter in O(m log n): one Dijkstra from node 0 finds the farthest
 // node u, a second from u returns its eccentricity. Exact on trees,
 // and in practice tight on the hierarchical graphs; use a backend's
-// MaxDist for exact (dense/LRU) or upper-bound (landmark) figures.
+// MaxDist for the exact figure.
 func (g *Graph) DiameterEstimate() float64 {
 	n := g.N()
 	if n < 2 {
@@ -224,7 +224,7 @@ func (g *Graph) DiameterEstimate() float64 {
 	next := make([]NodeID, n)
 	parent := make([]NodeID, n)
 	farthest := func(src NodeID) (NodeID, float64) {
-		g.dijkstraRows(src, false, scratch, dist, next, parent)
+		g.dijkstraRows(src, false, nil, scratch, dist, next, parent)
 		u, best := src, 0.0
 		for v, d := range dist {
 			if !math.IsInf(d, 1) && d > best {

@@ -30,9 +30,17 @@ import (
 // recomputes against the new structure — the same contract as the dense
 // APSP cache.
 //
+// Faults: SetNode and SetLink take routers and links down or up without
+// touching the Graph. Every answer then describes the alive subgraph,
+// and an event evicts only the cached trees it can change, read from
+// each tree's own rows (see SetNode, SetLink). An evicted tree is
+// recomputed by the same kernel over the alive subgraph on its next
+// query, so Dist and Next always equal a fresh solve of that subgraph.
+//
 // LRUPaths is safe for concurrent readers (one mutex serializes
-// queries); mutating the underlying Graph still requires external
-// synchronization, exactly as with the dense cache.
+// queries); mutating the underlying Graph, and fault events racing a
+// Warm, still require external synchronization, exactly as with the
+// dense cache.
 type LRUPaths struct {
 	g   *Graph
 	cap int
@@ -43,6 +51,7 @@ type LRUPaths struct {
 	head    *lruTree // most recently used
 	tail    *lruTree // least recently used
 	scratch *spScratch
+	down    *downSet // nil while every router and link is up
 
 	hits, misses, evictions uint64
 
@@ -139,6 +148,9 @@ func (l *LRUPaths) flushLocked() {
 	if l.cap > n && n > 0 {
 		l.cap = n
 	}
+	if l.down != nil && len(l.down.node) < n {
+		l.down.node = append(l.down.node, make([]bool, n-len(l.down.node))...)
+	}
 }
 
 // treeLocked returns src's shortest-path tree, computing and caching it
@@ -171,7 +183,7 @@ func (l *LRUPaths) treeLocked(src NodeID) *lruTree {
 		}
 	}
 	t.src = src
-	l.g.dijkstraRows(src, false, l.scratch, t.dist, t.next, t.parent)
+	l.g.dijkstraRows(src, false, l.down, l.scratch, t.dist, t.next, t.parent)
 	l.trees[src] = t
 	l.pushFrontLocked(t)
 	return t
@@ -324,6 +336,7 @@ func (l *LRUPaths) Warm(sources []NodeID, workers int) {
 		}
 	}
 	n := l.g.N()
+	down := l.down
 	l.mu.Unlock()
 	if len(missing) == 0 {
 		return
@@ -344,7 +357,7 @@ func (l *LRUPaths) Warm(sources []NodeID, workers int) {
 				next:   make([]NodeID, n),
 				parent: make([]NodeID, n),
 			}
-			l.g.dijkstraRows(missing[i], false, scratch, t.dist, t.next, t.parent)
+			l.g.dijkstraRows(missing[i], false, down, scratch, t.dist, t.next, t.parent)
 			out[i] = t
 		}
 		return nil
@@ -397,7 +410,7 @@ func (l *LRUPaths) sweepLocked() {
 		if t := l.trees[NodeID(i)]; t != nil {
 			row = t.dist
 		} else {
-			l.g.dijkstraRows(NodeID(i), false, l.scratch, dist, next, parent)
+			l.g.dijkstraRows(NodeID(i), false, l.down, l.scratch, dist, next, parent)
 		}
 		for j, d := range row {
 			if i != j && !math.IsInf(d, 1) {
@@ -414,8 +427,8 @@ func (l *LRUPaths) sweepLocked() {
 
 // MaxDist returns the largest finite off-diagonal distance (the
 // weighted diameter), bit-identical to the dense backend. The first
-// call per graph generation runs one Dijkstra per source (O(n) memory);
-// the scalar is then cached.
+// call per graph generation or fault event runs one Dijkstra per source
+// (O(n) memory); the scalar is then cached.
 func (l *LRUPaths) MaxDist() float64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -438,4 +451,139 @@ func (l *LRUPaths) MeanDist(includeDiagonal bool) float64 {
 		return l.distSum / float64(n*n)
 	}
 	return l.distSum / float64(n*(n-1))
+}
+
+// LinkDown reports whether SetLink has taken the undirected link (a, b)
+// down. It reads the fault state without locking, so it must not race a
+// fault event.
+func (l *LRUPaths) LinkDown(a, b NodeID) bool {
+	return l.down != nil && len(l.down.links) > 0 && l.down.links[LinkKey(a, b)]
+}
+
+// downLocked returns the fault state, allocating it on the first event.
+func (l *LRUPaths) downLocked() *downSet {
+	if l.down == nil {
+		l.down = &downSet{node: make([]bool, l.g.N()), links: make(map[[2]NodeID]bool)}
+	}
+	return l.down
+}
+
+// settleLocked finishes a fault event: the cached aggregates are stale,
+// and once the last fault clears the down set returns to nil so the
+// kernel runs its all-up path.
+func (l *LRUPaths) settleLocked() {
+	l.aggValid = false
+	if l.down.nodes == 0 && len(l.down.links) == 0 {
+		l.down = nil
+	}
+}
+
+// invalidateLocked evicts every cached tree for which stale reports
+// true.
+func (l *LRUPaths) invalidateLocked(stale func(t *lruTree) bool) {
+	for t := l.head; t != nil; {
+		nxt := t.nxt
+		if stale(t) {
+			l.unlinkLocked(t)
+			delete(l.trees, t.src)
+		}
+		t = nxt
+	}
+}
+
+// SetNode takes router v down (up=false) or brings it back, and evicts
+// the cached trees the event changes. Down: the tree of v, plus every
+// tree that routes through v (some parent is v); in every other tree v
+// was at most a leaf, so only its column is cut. Up: every tree, since
+// column v is unreachable in all of them. Repeating v's current state
+// is a no-op.
+func (l *LRUPaths) SetNode(v NodeID, up bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.gen != l.g.gen {
+		l.flushLocked()
+	}
+	if (l.down != nil && l.down.node[v]) == !up {
+		return
+	}
+	d := l.downLocked()
+	d.node[v] = !up
+	if up {
+		d.nodes--
+		l.invalidateLocked(func(*lruTree) bool { return true })
+	} else {
+		d.nodes++
+		l.invalidateLocked(func(t *lruTree) bool {
+			if t.src == v {
+				return true
+			}
+			for _, p := range t.parent {
+				if p == v {
+					return true
+				}
+			}
+			t.dist[v], t.next[v], t.parent[v] = math.Inf(1), -1, -1
+			return false
+		})
+	}
+	l.settleLocked()
+}
+
+// SetLink takes the undirected link (a, b) down (up=false) or brings it
+// back, and evicts the cached trees the event changes. Down: the trees
+// that use the edge (parent[b]==a or parent[a]==b). Up: the trees in
+// which one endpoint improves through the restored edge; by the
+// triangle inequality no other destination can improve if neither
+// does. A link restored under a down endpoint stays dead and evicts
+// nothing. Repeating the link's current state is a no-op.
+func (l *LRUPaths) SetLink(a, b NodeID, up bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.gen != l.g.gen {
+		l.flushLocked()
+	}
+	key := LinkKey(a, b)
+	if l.LinkDown(a, b) == !up {
+		return
+	}
+	d := l.downLocked()
+	if up {
+		delete(d.links, key)
+		if w, err := l.g.EdgeLatency(a, b); err == nil && !d.node[a] && !d.node[b] {
+			l.invalidateLocked(func(t *lruTree) bool {
+				da, db := t.dist[a], t.dist[b]
+				return da+w < db || db+w < da
+			})
+		}
+	} else {
+		d.links[key] = true
+		l.invalidateLocked(func(t *lruTree) bool { return t.parent[b] == a || t.parent[a] == b })
+	}
+	l.settleLocked()
+}
+
+// Reroute returns a fresh table over g, a structurally changed copy of
+// l's graph, with l's capacity and fault state; down links g no longer
+// has are dropped.
+func (l *LRUPaths) Reroute(g *Graph) *LRUPaths {
+	fresh := NewLRUPaths(g, l.cap)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.down == nil {
+		return fresh
+	}
+	d := fresh.downLocked()
+	for v, isDown := range l.down.node {
+		if isDown && v < g.N() {
+			d.node[v] = true
+			d.nodes++
+		}
+	}
+	for key := range l.down.links {
+		if g.HasEdge(key[0], key[1]) {
+			d.links[key] = true
+		}
+	}
+	fresh.settleLocked()
+	return fresh
 }

@@ -16,9 +16,7 @@ import (
 // unreachable), Next(i, j) is the first hop on a shortest path from i
 // toward j (-1 on the diagonal or if unreachable), and Parent(i, j) is
 // j's predecessor on that path (-1 likewise). Next matrices drive the
-// packet simulator's FIB construction; Parent matrices let the
-// fault-repair layer detect which shortest-path trees used a failed
-// element without re-walking paths.
+// packet simulator's FIB construction.
 //
 // An APSP returned by Graph.ShortestPathsLatency / ShortestPathsHops is
 // a shared cache entry: treat it as immutable.
@@ -57,24 +55,6 @@ func newAPSP(n int) *APSP {
 		next:   make([]NodeID, n*n),
 		parent: make([]NodeID, n*n),
 	}
-}
-
-// clone returns an independent mutable copy (the fault-repair layer
-// edits its copy in place while the cached original stays pristine).
-func (a *APSP) clone() *APSP {
-	return &APSP{
-		n:      a.n,
-		dist:   append([]float64(nil), a.dist...),
-		next:   append([]NodeID(nil), a.next...),
-		parent: append([]NodeID(nil), a.parent...),
-	}
-}
-
-// copyFrom overwrites this matrix with src's contents.
-func (a *APSP) copyFrom(src *APSP) {
-	copy(a.dist, src.dist)
-	copy(a.next, src.next)
-	copy(a.parent, src.parent)
 }
 
 // ShortestPathsLatency returns all-pairs shortest paths over link
@@ -207,20 +187,50 @@ func newSPScratch(n, m int) *spScratch {
 func (g *Graph) dijkstraInto(out *APSP, src NodeID, unitWeights bool, s *spScratch) {
 	n := out.n
 	base := int(src) * n
-	g.dijkstraRows(src, unitWeights, s,
+	g.dijkstraRows(src, unitWeights, nil, s,
 		out.dist[base:base+n], out.next[base:base+n], out.parent[base:base+n])
+}
+
+// downSet is the failed part of a graph: the down routers plus the down
+// undirected links, keyed by LinkKey. A nil *downSet means everything
+// is up.
+type downSet struct {
+	node  []bool
+	nodes int // number of down routers
+	links map[[2]NodeID]bool
+}
+
+// LinkKey normalizes an undirected link to a map key.
+func LinkKey(a, b NodeID) [2]NodeID {
+	if a > b {
+		a, b = b, a
+	}
+	return [2]NodeID{a, b}
+}
+
+// dead reports whether the directed hop a->b is unusable: b is down or
+// the link is.
+func (d *downSet) dead(a, b NodeID) bool {
+	return d.node[b] || (len(d.links) > 0 && d.links[LinkKey(a, b)])
 }
 
 // dijkstraRows is the single-source shortest-path kernel shared by every
 // routing backend: the dense APSP writes matrix rows through it, and the
-// LRU/landmark backends fill their per-source trees with it. Sharing one
-// kernel (same adjacency iteration order, same heap) is what makes the
-// sparse backends' per-source results bit-identical to the dense rows.
-func (g *Graph) dijkstraRows(src NodeID, unitWeights bool, s *spScratch, dist []float64, next, parent []NodeID) {
+// LRU backend fills its per-source trees with it. Sharing one kernel
+// (same adjacency iteration order, same heap) is what makes the LRU
+// backend's per-source results bit-identical to the dense rows. A
+// non-nil down set restricts the solve to the alive subgraph: down
+// routers never enter the heap, down links are skipped in place, and a
+// down source yields an isolated row.
+func (g *Graph) dijkstraRows(src NodeID, unitWeights bool, down *downSet, s *spScratch, dist []float64, next, parent []NodeID) {
 	for i := range dist {
 		dist[i] = math.Inf(1)
 		next[i] = -1
 		parent[i] = -1
+	}
+	dist[src] = 0
+	if down != nil && down.node[src] {
+		return
 	}
 	done := s.done
 	for i := range done {
@@ -229,7 +239,6 @@ func (g *Graph) dijkstraRows(src NodeID, unitWeights bool, s *spScratch, dist []
 	s.order = s.order[:0]
 	s.heap = s.heap[:0]
 
-	dist[src] = 0
 	s.heap.push(pqItem{node: src, dist: 0})
 	for len(s.heap) > 0 {
 		it := s.heap.pop()
@@ -239,6 +248,9 @@ func (g *Graph) dijkstraRows(src NodeID, unitWeights bool, s *spScratch, dist []
 		done[it.node] = true
 		s.order = append(s.order, it.node)
 		for _, he := range g.adj[it.node] {
+			if down != nil && down.dead(it.node, he.to) {
+				continue
+			}
 			w := he.latency
 			if unitWeights {
 				w = 1

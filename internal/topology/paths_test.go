@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -185,4 +186,131 @@ func BenchmarkAPSPLatency(b *testing.B) {
 		// recompute.
 		g.shortestPathsLatencyFresh()
 	}
+}
+
+// TestAPSPCacheInvalidation checks the generation-stamped cache: every
+// mutator invalidates it, an unchanged graph returns the same matrix
+// pointer, cached results equal a fresh solve exactly, and clones share
+// the cache until they diverge.
+func TestAPSPCacheInvalidation(t *testing.T) {
+	g, err := RandomConnected(12, 20, 1, 10, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameAPSP := func(a, b *APSP) bool {
+		if a.n != b.n {
+			return false
+		}
+		for i := range a.dist {
+			// NaN-free by construction; direct comparison is exact.
+			if a.dist[i] != b.dist[i] || a.next[i] != b.next[i] || a.parent[i] != b.parent[i] {
+				return false
+			}
+		}
+		return true
+	}
+	check := func(stage string) {
+		t.Helper()
+		lat := g.ShortestPathsLatency()
+		if !sameAPSP(lat, g.shortestPathsLatencyFresh()) {
+			t.Fatalf("%s: cached latency APSP differs from fresh solve", stage)
+		}
+		if g.ShortestPathsLatency() != lat {
+			t.Fatalf("%s: unchanged graph recomputed its latency cache", stage)
+		}
+		hops := g.ShortestPathsHops()
+		if !sameAPSP(hops, g.shortestPathsHopsFresh()) {
+			t.Fatalf("%s: cached hops APSP differs from fresh solve", stage)
+		}
+		if g.ShortestPathsHops() != hops {
+			t.Fatalf("%s: unchanged graph recomputed its hops cache", stage)
+		}
+	}
+
+	check("initial")
+	prev := g.ShortestPathsLatency()
+
+	m := make([][]float64, g.N())
+	for i := range m {
+		m[i] = make([]float64, g.N())
+		for j := range m[i] {
+			if i != j {
+				m[i][j] = 1 + math.Abs(float64(i-j))
+			}
+		}
+	}
+	if err := g.SetMeasuredLatencies(m); err != nil {
+		t.Fatal(err)
+	}
+	check("SetMeasuredLatencies")
+
+	if err := g.ScaleLatencies(2.5); err != nil {
+		t.Fatal(err)
+	}
+	if g.ShortestPathsLatency() == prev {
+		t.Fatal("ScaleLatencies did not invalidate the cache")
+	}
+	check("ScaleLatencies")
+
+	if err := g.TransformLatencies(func(l float64) float64 { return l + 1 }); err != nil {
+		t.Fatal(err)
+	}
+	check("TransformLatencies")
+
+	e := g.EdgeList()[0]
+	if err := g.RemoveEdge(e.A, e.B); err != nil {
+		t.Fatal(err)
+	}
+	check("RemoveEdge")
+
+	id := g.AddNode("late", 0, 0)
+	check("AddNode") // disconnected node: Inf rows must match fresh
+
+	if err := g.AddEdge(id, 0, 4); err != nil {
+		t.Fatal(err)
+	}
+	check("AddEdge")
+
+	// Clones share the cache until they diverge.
+	shared := g.ShortestPathsLatency()
+	c := g.Clone()
+	if c.ShortestPathsLatency() != shared {
+		t.Fatal("clone does not share the cached APSP")
+	}
+	if err := c.ScaleLatencies(3); err != nil {
+		t.Fatal(err)
+	}
+	if c.ShortestPathsLatency() == shared {
+		t.Fatal("mutated clone still serves the shared APSP")
+	}
+	if g.ShortestPathsLatency() != shared {
+		t.Fatal("mutating the clone invalidated the original's cache")
+	}
+}
+
+// TestConcurrentDatasetAccess hammers the memoized datasets from many
+// goroutines — cloning, reading the shared routing caches, and mutating
+// private clones — and relies on -race to flag unsynchronized access.
+func TestConcurrentDatasetAccess(t *testing.T) {
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, g := range All() {
+				lat := g.ShortestPathsLatency()
+				_ = lat.MaxDist()
+				_ = g.ShortestPathsHops().MeanDist(false)
+				if err := g.ScaleLatencies(2); err != nil {
+					t.Error(err)
+					return
+				}
+				if g.ShortestPathsLatency() == lat {
+					t.Error("mutated dataset clone kept its shared cache")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

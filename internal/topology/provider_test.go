@@ -26,8 +26,7 @@ func equivalenceGraphs(t *testing.T) []*Graph {
 func TestParseBackend(t *testing.T) {
 	cases := map[string]Backend{
 		"": BackendAuto, "auto": BackendAuto,
-		"dense": BackendDense, "apsp": BackendDense,
-		"lru": BackendLRU, "landmark": BackendLandmark,
+		"dense": BackendDense, "lru": BackendLRU,
 	}
 	for in, want := range cases {
 		got, err := ParseBackend(in)
@@ -35,8 +34,10 @@ func TestParseBackend(t *testing.T) {
 			t.Errorf("ParseBackend(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	if _, err := ParseBackend("bogus"); err == nil {
-		t.Error("ParseBackend should reject unknown names")
+	for _, bad := range []string{"bogus", "apsp", "landmark"} {
+		if _, err := ParseBackend(bad); err == nil {
+			t.Errorf("ParseBackend(%q) should fail", bad)
+		}
 	}
 }
 
@@ -47,7 +48,7 @@ func TestBackendResolve(t *testing.T) {
 	if got := BackendAuto.Resolve(DenseAutoThreshold); got != BackendLRU {
 		t.Errorf("auto at threshold = %v, want lru", got)
 	}
-	for _, b := range []Backend{BackendDense, BackendLRU, BackendLandmark} {
+	for _, b := range []Backend{BackendDense, BackendLRU} {
 		if got := b.Resolve(5); got != b {
 			t.Errorf("%v.Resolve = %v, want itself", b, got)
 		}
@@ -56,7 +57,7 @@ func TestBackendResolve(t *testing.T) {
 
 func TestNewPathProviderBackends(t *testing.T) {
 	g := Abilene()
-	for _, b := range []Backend{BackendAuto, BackendDense, BackendLRU, BackendLandmark} {
+	for _, b := range []Backend{BackendAuto, BackendDense, BackendLRU} {
 		p, err := NewPathProvider(g, b)
 		if err != nil {
 			t.Fatalf("NewPathProvider(%v): %v", b, err)
@@ -215,22 +216,6 @@ func TestLRUInvalidationOnMutation(t *testing.T) {
 			t.Errorf("post-AddNode MaxDist = %v, want %v", got, want)
 		}
 	})
-
-	t.Run("Landmark", func(t *testing.T) {
-		g := build()
-		lm := NewLandmarkPaths(g, 2)
-		if d := lm.Dist(0, 3); math.IsInf(d, 1) || d < 30 {
-			t.Fatalf("warm landmark Dist = %v, want finite >= 30", d)
-		}
-		if err := g.ScaleLatencies(2); err != nil {
-			t.Fatal(err)
-		}
-		// After rebuild the estimate must be >= the new exact distance;
-		// a stale tree would report at most the old 3-hop 30+30 sums.
-		if d := lm.Dist(0, 3); d < 60 {
-			t.Errorf("post-scale landmark Dist = %v, want >= 60 (stale trees served)", d)
-		}
-	})
 }
 
 // TestLRUWarmDeterministic warms the same source set at several worker
@@ -302,88 +287,6 @@ func TestLRUPathTree(t *testing.T) {
 				t.Fatalf("PathTree(%d,%d) latency %v, want %v", i, j, sum, want)
 			}
 		}
-	}
-}
-
-// TestLandmarkBounds verifies the documented landmark contract on every
-// equivalence graph: the estimate never underestimates, is exact from
-// landmark endpoints, and the stitched path is a real walk no longer
-// than the estimate.
-func TestLandmarkBounds(t *testing.T) {
-	for _, g := range equivalenceGraphs(t) {
-		dense := g.ShortestPathsLatency()
-		lm := NewLandmarkPaths(g, 8)
-		n := g.N()
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				si, sj := NodeID(i), NodeID(j)
-				exact := dense.Dist(si, sj)
-				est := lm.Dist(si, sj)
-				if i == j {
-					if est != 0 {
-						t.Fatalf("%s: Dist(%d,%d) = %v on diagonal", g.Name(), i, j, est)
-					}
-					continue
-				}
-				if est < exact-1e-9*exact {
-					t.Fatalf("%s: landmark Dist(%d,%d) = %v underestimates exact %v", g.Name(), i, j, est, exact)
-				}
-				p, err := lm.Path(si, sj)
-				if err != nil {
-					t.Fatalf("%s: landmark Path(%d,%d): %v", g.Name(), i, j, err)
-				}
-				if p[0] != si || p[len(p)-1] != sj {
-					t.Fatalf("%s: landmark Path(%d,%d) endpoints %v", g.Name(), i, j, p)
-				}
-				var walked float64
-				for k := 1; k < len(p); k++ {
-					lat, err := g.EdgeLatency(p[k-1], p[k])
-					if err != nil {
-						t.Fatalf("%s: landmark Path(%d,%d) uses missing edge %d-%d", g.Name(), i, j, p[k-1], p[k])
-					}
-					walked += lat
-				}
-				if walked > est+1e-9*est+1e-9 {
-					t.Fatalf("%s: landmark Path(%d,%d) latency %v exceeds estimate %v", g.Name(), i, j, walked, est)
-				}
-			}
-		}
-		// Exactness from landmark endpoints: same kernel, same bits.
-		for _, L := range lm.Landmarks() {
-			for j := 0; j < n; j++ {
-				if got, want := lm.Dist(L, NodeID(j)), dense.Dist(L, NodeID(j)); got != want {
-					t.Fatalf("%s: landmark-endpoint Dist(%d,%d) = %v, dense %v", g.Name(), L, j, got, want)
-				}
-			}
-		}
-		// Diameter bracketing: true diameter <= MaxDist <= 2x true.
-		trueD := dense.MaxDist()
-		if ub := lm.MaxDist(); ub < trueD-1e-9*trueD || ub > 2*trueD+1e-9*trueD {
-			t.Errorf("%s: landmark MaxDist %v outside [%v, %v]", g.Name(), ub, trueD, 2*trueD)
-		}
-	}
-}
-
-// TestLandmarkMeasureError sanity-checks the empirical error sampler.
-func TestLandmarkMeasureError(t *testing.T) {
-	g, err := Waxman("wax-err", 120, 300, 3000, 0.4, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lm := NewLandmarkPaths(g, 16)
-	st := lm.MeasureError(20, 1)
-	if st.Pairs == 0 {
-		t.Fatal("no pairs sampled")
-	}
-	if st.MeanRelErr < 0 || st.MaxRelErr < st.MeanRelErr {
-		t.Errorf("inconsistent error stats: %+v", st)
-	}
-	if st.MeanStretch < 1 {
-		t.Errorf("mean stretch %v below 1; the estimate is an upper bound", st.MeanStretch)
-	}
-	// Same seed, same sample.
-	if st2 := lm.MeasureError(20, 1); st2 != st {
-		t.Errorf("MeasureError not deterministic: %+v vs %+v", st, st2)
 	}
 }
 
