@@ -190,10 +190,12 @@ type Options struct {
 	// keeps the dense matrix below topology.DenseAutoThreshold nodes —
 	// bit-identical to all prior behavior on the calibrated datasets —
 	// and switches to the LRU tree cache above it, where a dense matrix
-	// would be quadratic in memory. A fault-aware plane (Options.Faults)
-	// routes around outages with topology.LRUPaths whatever the backend:
-	// its first fault event swaps a dense matrix for an LRU table over
-	// the same graph, which below the threshold holds every tree.
+	// would be quadratic in memory. Either backend is owned by the graph
+	// and shared by every network built on it. A fault-aware plane
+	// (Options.Faults) routes around outages with topology.LRUPaths
+	// whatever the backend: its first fault event swaps the shared
+	// backend for a private LRU table over the same graph, which below
+	// the threshold holds every tree.
 	Routing topology.Backend
 }
 
@@ -732,20 +734,16 @@ func (n *Network) crashedRouter(r topology.NodeID) bool {
 }
 
 // faultTable returns the fault-aware routing table, attaching it on the
-// first fault event: the LRU backend already in use, or an LRU table
-// over the same graph in place of the dense matrix. Each event then
+// first fault event: a private LRU table over the same graph, in place
+// of the backend the graph shares with every other run. Each event then
 // evicts only the shortest-path trees it changes. Down links and every
 // link incident to a crashed router are excluded from routing,
 // modeling an instantly converged routing plane (the data plane's
 // retry timers cover the packets in flight during the transition).
 func (n *Network) faultTable() *topology.LRUPaths {
 	if n.faultRoutes == nil {
-		rt, ok := n.lat.(*topology.LRUPaths)
-		if !ok {
-			rt = topology.NewLRUPaths(n.graph, 0)
-		}
-		n.faultRoutes = rt
-		n.lat = rt
+		n.faultRoutes = topology.NewLRUPaths(n.graph, 0)
+		n.lat = n.faultRoutes
 	}
 	return n.faultRoutes
 }

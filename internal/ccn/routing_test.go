@@ -11,8 +11,9 @@ import (
 
 // TestFaultsRerouteOnEveryBackend crashes the shortcut router of a
 // square and checks that a fault-aware plane on each backend forwards
-// around it and back once it recovers, attaching one LRU table either
-// way.
+// around it and back once it recovers, attaching one private LRU table
+// either way: the table the graph shares with other networks never sees
+// the outage.
 func TestFaultsRerouteOnEveryBackend(t *testing.T) {
 	for _, b := range []topology.Backend{topology.BackendAuto, topology.BackendDense, topology.BackendLRU} {
 		// 2 -> 1 -> 0 is the short way to the origin at 0; 2 -> 3 -> 0
@@ -55,6 +56,9 @@ func TestFaultsRerouteOnEveryBackend(t *testing.T) {
 			case "router 1 down":
 				if err := net.SetRouterState(1, false); err != nil {
 					t.Fatal(err)
+				}
+				if shared := g.ShortestPathTrees(); net.Routes() == shared || shared.Next(2, 0) != 1 {
+					t.Errorf("%v backend: the outage reached the graph's shared table", b)
 				}
 			case "router 1 up":
 				if err := net.SetRouterState(1, true); err != nil {

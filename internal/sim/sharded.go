@@ -176,6 +176,12 @@ func runSharded(sc Scenario, parts int) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("sim: %w", err)
 	}
+	// The latency histogram's range, taken at set-up as in runSerial:
+	// the diameter sweep solves the routing trees in parallel, keeping
+	// them while the table has room, before the shards start, so the
+	// request path does not solve them one at a time under the table's
+	// lock.
+	maxRTT := 2 * (sc.AccessLatency + 2*net.Routes().MaxDist() + sc.OriginLatency) * rttHeadroom
 
 	// Request quotas, identical to the serial layout.
 	interArrival := sc.MeanInterArrival
@@ -310,7 +316,6 @@ func runSharded(sc Scenario, parts int) (Result, error) {
 		reg.Mean("tier_latency_peer_ms"),
 		reg.Mean("tier_latency_origin_ms"),
 	}
-	maxRTT := 2 * (sc.AccessLatency + 2*net.Routes().MaxDist() + sc.OriginLatency) * rttHeadroom
 	latencyHist, err := reg.Histogram("latency_ms", 0, math.Max(maxRTT, 1), 2048)
 	if err != nil {
 		return Result{}, fmt.Errorf("sim: %w", err)

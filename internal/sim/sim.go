@@ -162,8 +162,10 @@ type Scenario struct {
 	// zero value, topology.BackendAuto, keeps the dense matrix below
 	// topology.DenseAutoThreshold nodes — every calibrated-dataset run
 	// stays byte-identical — and switches to the LRU tree cache on
-	// larger generated graphs. Fault scenarios run on any backend: the
-	// data plane reroutes around outages with the LRU tree cache.
+	// larger generated graphs. Either backend belongs to Topology, so
+	// every run on one graph shares its routing. Fault scenarios run on
+	// any backend: the data plane reroutes around outages with a private
+	// LRU tree cache.
 	Routing topology.Backend
 
 	// WorkloadFactory, when non-nil, supplies each router's request

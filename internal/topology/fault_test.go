@@ -153,7 +153,7 @@ func TestLRULinkDownEvictsOnlyUsers(t *testing.T) {
 		for _, e := range g.EdgeList() {
 			users := 0
 			for _, tr := range l.trees {
-				if tr.parent[e.B] == e.A || tr.parent[e.A] == e.B {
+				if tr != nil && (NodeID(tr.parent[e.B]) == e.A || NodeID(tr.parent[e.A]) == e.B) {
 					users++
 				}
 			}

@@ -55,18 +55,20 @@ type Graph struct {
 	measured [][]float64
 
 	// gen stamps the graph's mutation generation: every mutator bumps
-	// it, invalidating the cached all-pairs shortest-path matrices
-	// below. Clones inherit the cache (they are structurally identical
-	// until mutated), so handing out dataset copies does not re-run
-	// APSP. The cache mutex serializes lazy fills and cache reads;
-	// mutators themselves require external synchronization, as does all
-	// Graph mutation.
+	// it, invalidating the cached routing tables below. Clones inherit
+	// the cache (they are structurally identical until mutated), so
+	// handing out dataset copies does not re-run APSP, and every run on
+	// one graph shares its shortest-path trees. The cache mutex
+	// serializes lazy fills and cache reads; mutators themselves require
+	// external synchronization, as does all Graph mutation.
 	gen     uint64
 	cacheMu sync.Mutex
 	latSP   *APSP
 	latGen  uint64
 	hopSP   *APSP
 	hopGen  uint64
+	trees   *LRUPaths
+	treeGen uint64
 }
 
 // bump invalidates the cached shortest-path matrices after a mutation.
@@ -100,6 +102,24 @@ func (g *Graph) ShortestPathsHops() *APSP {
 		g.hopSP, g.hopGen = g.shortestPathsHopsFresh(), g.gen
 	}
 	return g.hopSP
+}
+
+// ShortestPathTrees returns the graph's shared LRU table of latency
+// shortest-path trees (see LRUPaths), built with the default capacity on
+// first use and cached until a mutator bumps the graph's generation. The
+// table routes over a frozen copy of the graph's structure, so a later
+// mutation of this graph or of a Clone sharing the table never changes
+// its answers; every caller, and every Clone taken while it is valid,
+// shares one set of trees, so each tree is solved once per graph. Fault
+// events must not be applied to the shared table: a fault-aware caller
+// builds its own with NewLRUPaths.
+func (g *Graph) ShortestPathTrees() *LRUPaths {
+	g.cacheMu.Lock()
+	defer g.cacheMu.Unlock()
+	if g.trees == nil || g.treeGen != g.gen {
+		g.trees, g.treeGen = NewLRUPaths(g.structure(), 0), g.gen
+	}
+	return g.trees
 }
 
 // warmRouteCache fills both shortest-path caches; the dataset builders
@@ -387,16 +407,12 @@ func (g *Graph) TransformLatencies(f func(float64) float64) error {
 
 // Clone returns a deep copy of the graph, including any measured
 // latency matrix. The copy shares the source's cached shortest-path
-// matrices (they describe the identical structure); a later mutation
-// of either graph invalidates only that graph's cache, so clones of
-// the memoized datasets start with routing precomputed for free.
+// matrices and tree table (they describe the identical structure); a
+// later mutation of either graph invalidates only that graph's cache,
+// so clones of the memoized datasets start with routing precomputed
+// for free.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{name: g.name, edges: g.edges}
-	c.nodes = append([]Node(nil), g.nodes...)
-	c.adj = make([][]halfEdge, len(g.adj))
-	for i, hes := range g.adj {
-		c.adj[i] = append([]halfEdge(nil), hes...)
-	}
+	c := g.structure()
 	if g.measured != nil {
 		c.measured = make([][]float64, len(g.measured))
 		for i := range g.measured {
@@ -407,7 +423,20 @@ func (g *Graph) Clone() *Graph {
 	c.gen = g.gen
 	c.latSP, c.latGen = g.latSP, g.latGen
 	c.hopSP, c.hopGen = g.hopSP, g.hopGen
+	c.trees, c.treeGen = g.trees, g.treeGen
 	g.cacheMu.Unlock()
+	return c
+}
+
+// structure returns a copy of the graph's nodes and links alone: no
+// measured matrix and no routing caches.
+func (g *Graph) structure() *Graph {
+	c := &Graph{name: g.name, edges: g.edges}
+	c.nodes = append([]Node(nil), g.nodes...)
+	c.adj = make([][]halfEdge, len(g.adj))
+	for i, hes := range g.adj {
+		c.adj[i] = append([]halfEdge(nil), hes...)
+	}
 	return c
 }
 

@@ -221,8 +221,8 @@ func (g *Graph) DiameterEstimate() float64 {
 	}
 	scratch := newSPScratch(n, g.edges)
 	dist := make([]float64, n)
-	next := make([]NodeID, n)
-	parent := make([]NodeID, n)
+	next := make([]int32, n)
+	parent := make([]int32, n)
 	farthest := func(src NodeID) (NodeID, float64) {
 		g.dijkstraRows(src, false, nil, scratch, dist, next, parent)
 		u, best := src, 0.0

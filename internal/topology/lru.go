@@ -11,10 +11,11 @@ import (
 // LRUPaths answers shortest-path queries from a bounded cache of
 // per-source shortest-path trees, computed on demand by the same
 // Dijkstra kernel the dense APSP uses. One tree holds source src's full
-// distance, first-hop and predecessor rows (24·n bytes), so the whole
-// backend costs 24·n·capacity bytes instead of the dense matrix's 24·n²
-// — the backend that unlocks 10⁵-router topologies, where one dense
-// matrix would need ~240 GiB.
+// distance, first-hop and predecessor rows (16·n bytes: a float64 and
+// two int32 node ids per node), so the whole backend costs
+// 16·n·capacity bytes instead of the dense matrix's 16·n² — the backend
+// that unlocks 10⁵-router topologies, where one dense matrix would need
+// ~160 GB.
 //
 // Exactness: a cached tree is produced by Graph.dijkstraRows with the
 // identical adjacency iteration order as a dense APSP row, so Dist and
@@ -37,6 +38,11 @@ import (
 // recomputed by the same kernel over the alive subgraph on its next
 // query, so Dist and Next always equal a fresh solve of that subgraph.
 //
+// Sharing: Graph.ShortestPathTrees hands every caller on one graph the
+// same fault-free table, so its trees are solved once per graph and
+// then served to every run; a caller that applies faults builds its
+// own table.
+//
 // LRUPaths is safe for concurrent readers (one mutex serializes
 // queries); mutating the underlying Graph, and fault events racing a
 // Warm, still require external synchronization, exactly as with the
@@ -47,9 +53,10 @@ type LRUPaths struct {
 
 	mu      sync.Mutex
 	gen     uint64
-	trees   map[NodeID]*lruTree
-	head    *lruTree // most recently used
-	tail    *lruTree // least recently used
+	trees   []*lruTree // by source; nil when not cached
+	cached  int        // non-nil entries of trees
+	head    *lruTree   // most recently used
+	tail    *lruTree   // least recently used
 	scratch *spScratch
 	down    *downSet // nil while every router and link is up
 
@@ -67,14 +74,23 @@ type LRUPaths struct {
 type lruTree struct {
 	src       NodeID
 	dist      []float64
-	next      []NodeID
-	parent    []NodeID
+	next      []int32
+	parent    []int32
 	prev, nxt *lruTree
+}
+
+// newLRUTree allocates the rows of one tree for an n-node graph.
+func newLRUTree(n int) *lruTree {
+	return &lruTree{
+		dist:   make([]float64, n),
+		next:   make([]int32, n),
+		parent: make([]int32, n),
+	}
 }
 
 // DefaultLRUBudgetBytes is the tree-cache memory budget when
 // NewLRUPaths is given a non-positive capacity: the capacity becomes
-// budget / (24·n) trees, clamped to [minLRUCapacity, n].
+// budget / (16·n) trees, clamped to [minLRUCapacity, n].
 const DefaultLRUBudgetBytes = 256 << 20
 
 // minLRUCapacity keeps a degenerate budget from thrashing on every
@@ -82,8 +98,8 @@ const DefaultLRUBudgetBytes = 256 << 20
 const minLRUCapacity = 16
 
 // treeBytes is the memory footprint of one cached tree for an n-node
-// graph: one float64 plus two NodeID entries per node.
-func treeBytes(n int) int { return n * 24 }
+// graph: one float64 plus two int32 entries per node.
+func treeBytes(n int) int { return n * 16 }
 
 // LRUCapacityForBudget returns how many shortest-path trees of an
 // n-node graph fit in budgetBytes, clamped to [minLRUCapacity, n].
@@ -116,7 +132,7 @@ func NewLRUPaths(g *Graph, capacity int) *LRUPaths {
 		g:       g,
 		cap:     capacity,
 		gen:     g.gen,
-		trees:   make(map[NodeID]*lruTree, capacity),
+		trees:   make([]*lruTree, n),
 		scratch: newSPScratch(n, g.edges),
 	}
 }
@@ -141,7 +157,7 @@ func (l *LRUPaths) Stats() (hits, misses, evictions uint64) {
 func (l *LRUPaths) flushLocked() {
 	n := l.g.N()
 	l.gen = l.g.gen
-	l.trees = make(map[NodeID]*lruTree, l.cap)
+	l.trees, l.cached = make([]*lruTree, n), 0
 	l.head, l.tail = nil, nil
 	l.scratch = newSPScratch(n, l.g.edges)
 	l.aggValid = false
@@ -162,31 +178,43 @@ func (l *LRUPaths) treeLocked(src NodeID) *lruTree {
 	}
 	if t := l.trees[src]; t != nil {
 		l.hits++
-		l.touchLocked(t)
+		if l.cap < len(l.trees) {
+			// With room for every source nothing is ever evicted, so
+			// only a smaller cache keeps the recency order.
+			l.touchLocked(t)
+		}
 		return t
 	}
 	l.misses++
 	n := l.g.N()
 	var t *lruTree
-	if len(l.trees) >= l.cap && l.tail != nil {
+	if l.cached >= l.cap && l.tail != nil {
 		// Reuse the evicted tree's buffers: steady state allocates
 		// nothing per miss.
 		t = l.tail
-		l.unlinkLocked(t)
-		delete(l.trees, t.src)
+		l.removeLocked(t)
 		l.evictions++
 	} else {
-		t = &lruTree{
-			dist:   make([]float64, n),
-			next:   make([]NodeID, n),
-			parent: make([]NodeID, n),
-		}
+		t = newLRUTree(n)
 	}
 	t.src = src
 	l.g.dijkstraRows(src, false, l.down, l.scratch, t.dist, t.next, t.parent)
-	l.trees[src] = t
-	l.pushFrontLocked(t)
+	l.insertLocked(t)
 	return t
+}
+
+// insertLocked caches t as its source's tree, most recently used.
+func (l *LRUPaths) insertLocked(t *lruTree) {
+	l.trees[t.src] = t
+	l.cached++
+	l.pushFrontLocked(t)
+}
+
+// removeLocked drops t from the cache.
+func (l *LRUPaths) removeLocked(t *lruTree) {
+	l.unlinkLocked(t)
+	l.trees[t.src] = nil
+	l.cached--
 }
 
 // touchLocked moves t to the most-recently-used position.
@@ -239,7 +267,7 @@ func (l *LRUPaths) Dist(i, j NodeID) float64 {
 func (l *LRUPaths) Next(i, j NodeID) NodeID {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.treeLocked(i).next[j]
+	return NodeID(l.treeLocked(i).next[j])
 }
 
 // Path returns the node sequence from src to dst (inclusive), walking
@@ -260,7 +288,7 @@ func (l *LRUPaths) Path(src, dst NodeID) ([]NodeID, error) {
 	path := []NodeID{src}
 	cur := src
 	for cur != dst {
-		nxt := l.treeLocked(cur).next[dst]
+		nxt := NodeID(l.treeLocked(cur).next[dst])
 		if nxt < 0 {
 			return nil, fmt.Errorf("topology: %d unreachable from %d", dst, src)
 		}
@@ -293,7 +321,7 @@ func (l *LRUPaths) PathTree(src, dst NodeID) ([]NodeID, error) {
 	path := []NodeID{dst}
 	cur := dst
 	for cur != src {
-		p := t.parent[cur]
+		p := NodeID(t.parent[cur])
 		if p < 0 {
 			return nil, fmt.Errorf("topology: %d unreachable from %d", dst, src)
 		}
@@ -331,7 +359,7 @@ func (l *LRUPaths) Warm(sources []NodeID, workers int) {
 			continue
 		}
 		seen[s] = true
-		if _, ok := l.trees[s]; !ok {
+		if l.trees[s] == nil {
 			missing = append(missing, s)
 		}
 	}
@@ -351,12 +379,8 @@ func (l *LRUPaths) Warm(sources []NodeID, workers int) {
 	_ = par.ForEach(workers, workers, func(w int) error {
 		scratch := newSPScratch(n, l.g.edges)
 		for i := w; i < len(missing); i += workers {
-			t := &lruTree{
-				src:    missing[i],
-				dist:   make([]float64, n),
-				next:   make([]NodeID, n),
-				parent: make([]NodeID, n),
-			}
+			t := newLRUTree(n)
+			t.src = missing[i]
 			l.g.dijkstraRows(missing[i], false, down, scratch, t.dist, t.next, t.parent)
 			out[i] = t
 		}
@@ -370,27 +394,34 @@ func (l *LRUPaths) Warm(sources []NodeID, workers int) {
 		return
 	}
 	for _, t := range out {
-		if _, ok := l.trees[t.src]; ok {
+		if l.trees[t.src] != nil {
 			continue
 		}
 		l.misses++ // a warm fill is an off-path miss: it ran one Dijkstra
-		if len(l.trees) >= l.cap && l.tail != nil {
-			old := l.tail
-			l.unlinkLocked(old)
-			delete(l.trees, old.src)
+		if l.cached >= l.cap && l.tail != nil {
+			l.removeLocked(l.tail)
 			l.evictions++
 		}
-		l.trees[t.src] = t
-		l.pushFrontLocked(t)
+		l.insertLocked(t)
 	}
 }
 
+// sweepBatch is how many sources each worker solves per round of the
+// aggregate sweep before the round's rows are folded in source order.
+const sweepBatch = 8
+
 // sweepLocked computes the whole-graph aggregates (max and sum of
-// finite off-diagonal distances) with one streaming Dijkstra per
-// source, reusing a single row buffer — O(n) memory where the dense
-// MaxDist/MeanDist scan an O(n²) matrix. Rows are visited in the same
-// source order and scanned in the same destination order as the dense
-// scan, so both aggregates are bit-identical to the dense backend's.
+// finite off-diagonal distances) with one Dijkstra per uncached source.
+// Each round fans sweepBatch sources per worker over the pool (above
+// parallelAPSPSources nodes), then folds the round's rows serially in
+// source order, scanning each in destination order: the same additions
+// in the same order as the dense scan, so both aggregates are
+// bit-identical to the dense backend's at any worker count, in
+// O(batch·n) memory where the dense MaxDist/MeanDist scan an O(n²)
+// matrix. A row served from a cached tree costs no Dijkstra, and while
+// the cache has room a solved row is kept as its source's tree (never
+// evicting one), so a table whose capacity covers every source solves
+// each tree exactly once. The caller holds l.mu.
 func (l *LRUPaths) sweepLocked() {
 	if l.gen != l.g.gen {
 		l.flushLocked()
@@ -399,24 +430,53 @@ func (l *LRUPaths) sweepLocked() {
 		return
 	}
 	n := l.g.N()
-	dist := make([]float64, n)
-	next := make([]NodeID, n)
-	parent := make([]NodeID, n)
+	workers := 1
+	if n >= parallelAPSPSources {
+		workers = min(par.DefaultWorkers(), n)
+	}
+	scratch := make([]*spScratch, workers)
+	scratch[0] = l.scratch
+	for w := 1; w < workers; w++ {
+		scratch[w] = newSPScratch(n, l.g.edges)
+	}
+	// rows[k] is the solve buffer of the round's k-th source; it is
+	// nil again once the cache has kept the tree solved into it.
+	rows := make([]*lruTree, sweepBatch*workers)
 	var maxD, sum float64
-	for i := 0; i < n; i++ {
-		// Serve from a cached tree when present — identical bits, no
-		// extra Dijkstra.
-		row := dist
-		if t := l.trees[NodeID(i)]; t != nil {
-			row = t.dist
-		} else {
-			l.g.dijkstraRows(NodeID(i), false, l.down, l.scratch, dist, next, parent)
-		}
-		for j, d := range row {
-			if i != j && !math.IsInf(d, 1) {
-				sum += d
-				if d > maxD {
-					maxD = d
+	for base := 0; base < n; base += len(rows) {
+		end := min(base+len(rows), n)
+		// The workers only read l.trees; the fold below writes it.
+		_ = par.ForEach(workers, workers, func(w int) error {
+			for i := base + w; i < end; i += workers {
+				if l.trees[i] != nil {
+					continue
+				}
+				t := rows[i-base]
+				if t == nil {
+					t = newLRUTree(n)
+					rows[i-base] = t
+				}
+				t.src = NodeID(i)
+				l.g.dijkstraRows(t.src, false, l.down, scratch[w], t.dist, t.next, t.parent)
+			}
+			return nil
+		})
+		for i := base; i < end; i++ {
+			t := l.trees[i]
+			if t == nil {
+				t = rows[i-base]
+				if l.cached < l.cap {
+					l.misses++ // a kept row is a fill: it ran one Dijkstra
+					l.insertLocked(t)
+					rows[i-base] = nil
+				}
+			}
+			for j, d := range t.dist {
+				if i != j && !math.IsInf(d, 1) {
+					sum += d
+					if d > maxD {
+						maxD = d
+					}
 				}
 			}
 		}
@@ -427,8 +487,8 @@ func (l *LRUPaths) sweepLocked() {
 
 // MaxDist returns the largest finite off-diagonal distance (the
 // weighted diameter), bit-identical to the dense backend. The first
-// call per graph generation or fault event runs one Dijkstra per source
-// (O(n) memory); the scalar is then cached.
+// call per graph generation or fault event runs the parallel sweep (one
+// Dijkstra per uncached source); the scalar is then cached.
 func (l *LRUPaths) MaxDist() float64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -484,8 +544,7 @@ func (l *LRUPaths) invalidateLocked(stale func(t *lruTree) bool) {
 	for t := l.head; t != nil; {
 		nxt := t.nxt
 		if stale(t) {
-			l.unlinkLocked(t)
-			delete(l.trees, t.src)
+			l.removeLocked(t)
 		}
 		t = nxt
 	}
@@ -518,7 +577,7 @@ func (l *LRUPaths) SetNode(v NodeID, up bool) {
 				return true
 			}
 			for _, p := range t.parent {
-				if p == v {
+				if NodeID(p) == v {
 					return true
 				}
 			}
@@ -557,7 +616,7 @@ func (l *LRUPaths) SetLink(a, b NodeID, up bool) {
 		}
 	} else {
 		d.links[key] = true
-		l.invalidateLocked(func(t *lruTree) bool { return t.parent[b] == a || t.parent[a] == b })
+		l.invalidateLocked(func(t *lruTree) bool { return NodeID(t.parent[b]) == a || NodeID(t.parent[a]) == b })
 	}
 	l.settleLocked()
 }

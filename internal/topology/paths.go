@@ -11,7 +11,8 @@ import (
 // APSP holds all-pairs shortest-path results for one metric on flat,
 // stride-indexed backing arrays (row i starts at offset i*n), which
 // keeps the whole matrix in three allocations and lets per-source
-// solvers write disjoint rows in parallel. Dist(i, j) is the
+// solvers write disjoint rows in parallel. Node ids are stored as
+// int32, so a pair costs 8 + 4 + 4 = 16 bytes. Dist(i, j) is the
 // shortest-path length from i to j (0 on the diagonal, +Inf if
 // unreachable), Next(i, j) is the first hop on a shortest path from i
 // toward j (-1 on the diagonal or if unreachable), and Parent(i, j) is
@@ -23,8 +24,8 @@ import (
 type APSP struct {
 	n      int
 	dist   []float64
-	next   []NodeID
-	parent []NodeID
+	next   []int32
+	parent []int32
 }
 
 // N returns the number of nodes the matrix covers.
@@ -35,11 +36,11 @@ func (a *APSP) Dist(i, j NodeID) float64 { return a.dist[int(i)*a.n+int(j)] }
 
 // Next returns the first hop out of i on a shortest path toward j, or
 // -1 when i == j or j is unreachable.
-func (a *APSP) Next(i, j NodeID) NodeID { return a.next[int(i)*a.n+int(j)] }
+func (a *APSP) Next(i, j NodeID) NodeID { return NodeID(a.next[int(i)*a.n+int(j)]) }
 
 // Parent returns j's predecessor on a shortest path from i, or -1 when
 // i == j or j is unreachable.
-func (a *APSP) Parent(i, j NodeID) NodeID { return a.parent[int(i)*a.n+int(j)] }
+func (a *APSP) Parent(i, j NodeID) NodeID { return NodeID(a.parent[int(i)*a.n+int(j)]) }
 
 // DistRow returns source i's distance row. The returned slice aliases
 // the matrix backing array; callers must not modify it.
@@ -52,8 +53,8 @@ func newAPSP(n int) *APSP {
 	return &APSP{
 		n:      n,
 		dist:   make([]float64, n*n),
-		next:   make([]NodeID, n*n),
-		parent: make([]NodeID, n*n),
+		next:   make([]int32, n*n),
+		parent: make([]int32, n*n),
 	}
 }
 
@@ -222,7 +223,7 @@ func (d *downSet) dead(a, b NodeID) bool {
 // non-nil down set restricts the solve to the alive subgraph: down
 // routers never enter the heap, down links are skipped in place, and a
 // down source yields an isolated row.
-func (g *Graph) dijkstraRows(src NodeID, unitWeights bool, down *downSet, s *spScratch, dist []float64, next, parent []NodeID) {
+func (g *Graph) dijkstraRows(src NodeID, unitWeights bool, down *downSet, s *spScratch, dist []float64, next, parent []int32) {
 	for i := range dist {
 		dist[i] = math.Inf(1)
 		next[i] = -1
@@ -257,7 +258,7 @@ func (g *Graph) dijkstraRows(src NodeID, unitWeights bool, down *downSet, s *spS
 			}
 			if d := it.dist + w; d < dist[he.to] {
 				dist[he.to] = d
-				parent[he.to] = it.node
+				parent[he.to] = int32(it.node)
 				s.heap.push(pqItem{node: he.to, dist: d})
 			}
 		}
@@ -266,10 +267,10 @@ func (g *Graph) dijkstraRows(src NodeID, unitWeights bool, down *downSet, s *spS
 	// predecessor is resolved before the node itself: one pass converts
 	// the predecessor tree into first-hop-from-src pointers.
 	for _, v := range s.order[1:] {
-		if parent[v] == src {
-			next[v] = v
+		if p := parent[v]; NodeID(p) == src {
+			next[v] = int32(v)
 		} else {
-			next[v] = next[parent[v]]
+			next[v] = next[p]
 		}
 	}
 }

@@ -9,8 +9,8 @@ import "fmt"
 // fault-aware plane routes around outages with:
 //
 //	backend    memory    precompute        Dist/Next
-//	dense      24·n² B   n Dijkstras       O(1)
-//	lru        24·n·k B  per-miss Dijkstra O(1) hit / O(m log n) miss, k cached trees
+//	dense      16·n² B   n Dijkstras       O(1)
+//	lru        16·n·k B  per-miss Dijkstra O(1) hit / O(m log n) miss, k cached trees
 //
 // Both are exact. Dist returns the shortest-path length from i to j (0
 // on the diagonal, +Inf if unreachable); Next the first hop out of i
@@ -35,7 +35,7 @@ const (
 	// byte-identical dense fast path, large generated graphs never
 	// materialize an O(n²) matrix.
 	BackendAuto Backend = iota
-	// BackendDense is the flat all-pairs matrix: 24·n² bytes, exact,
+	// BackendDense is the flat all-pairs matrix: 16·n² bytes, exact,
 	// O(1) queries.
 	BackendDense
 	// BackendLRU answers from an LRU of per-source shortest-path trees,
@@ -46,8 +46,8 @@ const (
 
 // DenseAutoThreshold is the node count at which BackendAuto switches
 // from the dense matrix to the LRU backend. At 1024 nodes the dense
-// matrix costs 24 MiB and one full APSP precompute; past it the
-// quadratic wall dominates (10⁴ nodes ≈ 2.4 GiB, 10⁵ ≈ 240 GiB).
+// matrix costs 16 MiB and one full APSP precompute; past it the
+// quadratic wall dominates (10⁴ nodes ≈ 1.6 GB, 10⁵ ≈ 160 GB).
 const DenseAutoThreshold = 1024
 
 // String returns the backend's flag name.
@@ -90,16 +90,17 @@ func (b Backend) Resolve(n int) Backend {
 	return BackendLRU
 }
 
-// NewPathProvider builds the selected routing backend over g's latency
-// metric. BackendDense returns the graph's shared cached APSP (computing
-// it on first use); BackendLRU uses default sizing — build LRUPaths
-// directly to tune its capacity.
+// NewPathProvider returns the selected routing backend over g's latency
+// metric, owned by the graph and shared by every caller: BackendDense
+// the cached APSP matrix, BackendLRU the cached tree table with default
+// sizing (see Graph.ShortestPathsLatency, Graph.ShortestPathTrees).
+// Build LRUPaths directly to tune its capacity or to apply faults.
 func NewPathProvider(g *Graph, b Backend) (PathProvider, error) {
 	switch b.Resolve(g.N()) {
 	case BackendDense:
 		return g.ShortestPathsLatency(), nil
 	case BackendLRU:
-		return NewLRUPaths(g, 0), nil
+		return g.ShortestPathTrees(), nil
 	default:
 		return nil, fmt.Errorf("topology: unknown routing backend %d", int(b))
 	}

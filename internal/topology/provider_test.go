@@ -1,8 +1,12 @@
 package topology
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -106,6 +110,157 @@ func TestLRUEquivalence(t *testing.T) {
 		for _, diag := range []bool{false, true} {
 			if got, want := lru.MeanDist(diag), dense.MeanDist(diag); got != want {
 				t.Errorf("%s: lru.MeanDist(%v) = %v, dense %v", g.Name(), diag, got, want)
+			}
+		}
+	}
+}
+
+// TestShortestPathTreesShared checks the graph-owned tree table: one
+// table per graph generation, shared by NewPathProvider and by clones,
+// replaced on mutation, and frozen to the structure it was built for, so
+// mutating the graph or a clone never changes the answers of a table
+// already handed out.
+func TestShortestPathTreesShared(t *testing.T) {
+	g, err := Waxman("wax-shared", 40, 100, 3000, 0.4, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := g.ShortestPathsLatency()
+	order := make([]int, g.N())
+	for i := range order {
+		order[i] = i
+	}
+	shared := g.ShortestPathTrees()
+	if g.ShortestPathTrees() != shared {
+		t.Fatal("a second call built a second table")
+	}
+	if p, err := NewPathProvider(g, BackendLRU); err != nil || p != PathProvider(shared) {
+		t.Fatalf("NewPathProvider(lru) = %p, %v; want the graph's table %p", p, err, shared)
+	}
+	c := g.Clone()
+	if c.ShortestPathTrees() != shared {
+		t.Fatal("a clone does not share its source's table")
+	}
+	checkLRUMatches(t, "shared", shared, ref, order)
+
+	e := g.EdgeList()[0]
+	if err := c.RemoveEdge(e.A, e.B); err != nil {
+		t.Fatal(err)
+	}
+	if c.ShortestPathTrees() == shared {
+		t.Fatal("a mutated clone still routes with the shared table")
+	}
+	if err := g.ScaleLatencies(2); err != nil {
+		t.Fatal(err)
+	}
+	if g.ShortestPathTrees() == shared {
+		t.Fatal("a mutated graph still routes with its old table")
+	}
+	checkLRUMatches(t, "after both graphs mutated", shared, ref, order)
+	checkLRUMatches(t, "rebuilt", g.ShortestPathTrees(), g.ShortestPathsLatency(), order)
+}
+
+// TestShortestPathTreesConcurrent queries one graph's table from many
+// goroutines through clones that share it: a cold diameter sweep,
+// misses and hits at once, while each goroutine also detaches its own
+// clone by mutating it. -race flags unsynchronized access, and every
+// answer must equal the dense matrix.
+func TestShortestPathTreesConcurrent(t *testing.T) {
+	g, err := RandomConnected(120, 300, 1, 20, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense := g.ShortestPathsLatency()
+	shared := g.ShortestPathTrees()
+	n := g.N()
+	var wg sync.WaitGroup
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := g.Clone()
+			trees := c.ShortestPathTrees()
+			if trees != shared {
+				t.Error("a clone does not share its source's table")
+				return
+			}
+			if w%2 == 0 && trees.MaxDist() != dense.MaxDist() {
+				t.Errorf("worker %d: MaxDist differs from dense", w)
+			}
+			for i := 0; i < n; i++ {
+				s, d := NodeID((i*7+w)%n), NodeID(i)
+				if trees.Next(s, d) != dense.Next(s, d) || trees.Dist(s, d) != dense.Dist(s, d) {
+					t.Errorf("worker %d: (%d,%d) differs from dense", w, s, d)
+					return
+				}
+			}
+			if err := c.ScaleLatencies(2); err != nil {
+				t.Error(err)
+				return
+			}
+			if c.ShortestPathTrees() == shared {
+				t.Errorf("worker %d: a mutated clone kept the shared table", w)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestLRUSweepMatchesDense runs the diameter sweep on graphs large
+// enough to fan out, at several pool widths and capacities, with and
+// without faults. MaxDist and MeanDist must equal the dense scan of the
+// same (alive) graph bit for bit; the sweep keeps solved rows only while
+// the cache has room and never evicts; and a table with room for every
+// source then answers every query without another Dijkstra.
+func TestLRUSweepMatchesDense(t *testing.T) {
+	rnd, err := RandomConnected(150, 400, 1, 20, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wax, err := Waxman("wax-sweep", 130, 300, 3000, 0.4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, g := range []*Graph{rnd, wax} {
+		n := g.N()
+		if n < parallelAPSPSources {
+			t.Fatalf("%s: %d nodes will not fan out", g.Name(), n)
+		}
+		e := g.EdgeList()[3]
+		faulted := refAlive(t, g, map[NodeID]bool{7: true}, map[[2]NodeID]bool{LinkKey(e.A, e.B): true})
+		for _, procs := range []int{1, 3} {
+			runtime.GOMAXPROCS(procs)
+			for _, capacity := range []int{n, 7} {
+				for _, faults := range []bool{false, true} {
+					stage := fmt.Sprintf("%s procs=%d cap=%d faults=%v", g.Name(), procs, capacity, faults)
+					l := NewLRUPaths(g, capacity)
+					want := g.ShortestPathsLatency()
+					if faults {
+						l.SetNode(7, false)
+						l.SetLink(e.A, e.B, false)
+						want = faulted
+					}
+					l.Warm([]NodeID{2, 90}, 1) // rows the sweep serves from cache
+					if got := l.MaxDist(); got != want.MaxDist() {
+						t.Errorf("%s: MaxDist = %v, dense %v", stage, got, want.MaxDist())
+					}
+					for _, diag := range []bool{false, true} {
+						if got := l.MeanDist(diag); got != want.MeanDist(diag) {
+							t.Errorf("%s: MeanDist(%v) = %v, dense %v", stage, diag, got, want.MeanDist(diag))
+						}
+					}
+					_, misses, evictions := l.Stats()
+					if int(misses) != capacity || evictions != 0 {
+						t.Errorf("%s: sweep left %d trees solved and %d evicted, want %d and 0", stage, misses, evictions, capacity)
+					}
+					if capacity == n {
+						checkLRUMatches(t, stage, l, want, rand.New(rand.NewSource(1)).Perm(n))
+						if _, after, _ := l.Stats(); after != misses {
+							t.Errorf("%s: queries after the sweep solved %d more trees, want 0", stage, after-misses)
+						}
+					}
+				}
 			}
 		}
 	}
