@@ -10,6 +10,7 @@ package ccn
 
 import (
 	"fmt"
+	"strings"
 
 	"ccncoord/internal/catalog"
 	"ccncoord/internal/des"
@@ -22,10 +23,8 @@ import (
 // be at most the partition's cut latency or cross-shard sends will be
 // rejected at forwarding time.
 //
-// Only deterministic-under-sharding configurations are accepted: no
-// tracer (the event stream is a globally ordered artifact), no loss,
-// faults, probabilistic caching (shared RNG), and no finite link rate
-// (shared queueing accumulators). Callers needing those features run
+// Only deterministic-under-sharding configurations are accepted: the
+// options must have no ShardBlockers. Callers needing those features run
 // serially — the sim layer falls back to one shard automatically.
 func NewShardedNetwork(se *des.Sharded, shardOf []int32, g *topology.Graph, cat *catalog.Catalog, opts Options) (*Network, error) {
 	switch {
@@ -33,16 +32,9 @@ func NewShardedNetwork(se *des.Sharded, shardOf []int32, g *topology.Graph, cat 
 		return nil, fmt.Errorf("ccn: nil sharded engine")
 	case g != nil && len(shardOf) != g.N():
 		return nil, fmt.Errorf("ccn: shard map covers %d of %d routers", len(shardOf), g.N())
-	case opts.Tracer != nil:
-		return nil, fmt.Errorf("ccn: tracing requires serial execution (the trace stream is globally ordered)")
-	case opts.LossRate > 0:
-		return nil, fmt.Errorf("ccn: lossy fabrics require serial execution (shared loss RNG)")
-	case opts.Faults:
-		return nil, fmt.Errorf("ccn: fault-aware planes require serial execution")
-	case opts.LinkRate > 0:
-		return nil, fmt.Errorf("ccn: finite link rate requires serial execution (shared queueing state)")
-	case opts.Mode == CacheProb:
-		return nil, fmt.Errorf("ccn: probabilistic caching requires serial execution (shared admission RNG)")
+	}
+	if b := ShardBlockers(opts); len(b) > 0 {
+		return nil, fmt.Errorf("ccn: %s require serial execution", strings.Join(b, ", "))
 	}
 	for r, s := range shardOf {
 		if s < 0 || int(s) >= se.Shards() {
@@ -58,6 +50,33 @@ func NewShardedNetwork(se *des.Sharded, shardOf []int32, g *topology.Graph, cat 
 	n.tx = make([]txShard, se.Shards())
 	n.pools = make([]recordPool, se.Shards())
 	return n, nil
+}
+
+// ShardBlockers lists, in a fixed order, the options that keep a plane
+// off the sharded engine. Each funnels every event through one piece of
+// globally ordered shared state: the fault timeline, the loss RNG, the
+// link-queueing accumulators, the trace stream, and the probabilistic
+// admission RNG. An empty list means the options can drive a sharded
+// plane. The names are user-facing: sim reports them as its shard
+// fallback reason.
+func ShardBlockers(opts Options) []string {
+	var b []string
+	if opts.Faults {
+		b = append(b, "fault injection")
+	}
+	if opts.LossRate != 0 {
+		b = append(b, "loss process")
+	}
+	if opts.LinkRate != 0 {
+		b = append(b, "link queueing")
+	}
+	if opts.Tracer != nil {
+		b = append(b, "event tracing")
+	}
+	if opts.Mode == CacheProb {
+		b = append(b, "probabilistic caching")
+	}
+	return b
 }
 
 // Sharded reports whether the network runs on a sharded engine.

@@ -108,9 +108,10 @@ func (e *Engine) Schedule(delay float64, fn func()) error {
 }
 
 // At enqueues fn to run at the given absolute time, which must not be in
-// the simulated past.
+// the simulated past. A NaN time is rejected: it compares false against
+// everything and would break the heap's (at, seq) total order.
 func (e *Engine) At(t float64, fn func()) error {
-	if t < e.now {
+	if !(t >= e.now) {
 		return fmt.Errorf("des: cannot schedule at %v, current time is %v", t, e.now)
 	}
 	if fn == nil {

@@ -1,6 +1,7 @@
 package des
 
 import (
+	"math"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -55,6 +56,42 @@ func TestAtExactlyNow(t *testing.T) {
 	}
 	if e.Now() != 5 {
 		t.Errorf("clock = %v, want 5", e.Now())
+	}
+}
+
+// TestAtRejectsNaN: a NaN time compares false against every clock value,
+// so it must be rejected outright rather than slip past the "not in the
+// past" check and break the heap's (at, seq) order. Both engines, and the
+// sharded engine's cross-shard send, share the rule.
+func TestAtRejectsNaN(t *testing.T) {
+	nan := math.NaN()
+	noop := func() {}
+	var e Engine
+	if err := e.At(nan, noop); err == nil {
+		t.Error("Engine.At(NaN) accepted")
+	}
+	if err := e.Schedule(nan, noop); err == nil {
+		t.Error("Engine.Schedule(NaN) accepted")
+	}
+	if e.Pending() != 0 {
+		t.Errorf("Engine holds %d events after rejected NaN schedules", e.Pending())
+	}
+	se, err := NewSharded(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := se.Shard(0)
+	if err := sh.At(nan, noop); err == nil {
+		t.Error("Shard.At(NaN) accepted")
+	}
+	if err := sh.Schedule(nan, noop); err == nil {
+		t.Error("Shard.Schedule(NaN) accepted")
+	}
+	if err := sh.ScheduleTo(1, nan, noop); err == nil {
+		t.Error("Shard.ScheduleTo(NaN) accepted")
+	}
+	if sh.Pending() != 0 {
+		t.Errorf("Shard holds %d events after rejected NaN schedules", sh.Pending())
 	}
 }
 

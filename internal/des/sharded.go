@@ -272,7 +272,7 @@ func (sh *Shard) Pending() int { return len(sh.queue) }
 // At enqueues fn on this shard at absolute time t, which must not be in
 // the shard's past.
 func (sh *Shard) At(t float64, fn func()) error {
-	if t < sh.now {
+	if !(t >= sh.now) { // also rejects NaN, as Engine.At does
 		return fmt.Errorf("des: shard %d cannot schedule at %v, current time is %v", sh.id, t, sh.now)
 	}
 	if fn == nil {
@@ -306,7 +306,7 @@ func (sh *Shard) ScheduleTo(dst int, delay float64, fn func()) error {
 	if dst < 0 || dst >= len(sh.par.shards) {
 		return fmt.Errorf("des: shard %d out of range [0,%d)", dst, len(sh.par.shards))
 	}
-	if delay < sh.par.lookahead {
+	if !(delay >= sh.par.lookahead) {
 		return fmt.Errorf("des: cross-shard delay %v below lookahead %v violates the conservative contract", delay, sh.par.lookahead)
 	}
 	if fn == nil {

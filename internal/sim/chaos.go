@@ -14,7 +14,6 @@ import (
 	"math/rand"
 
 	"ccncoord/internal/cache"
-	"ccncoord/internal/catalog"
 	"ccncoord/internal/ccn"
 	"ccncoord/internal/coord"
 	"ccncoord/internal/des"
@@ -44,18 +43,15 @@ type chaosRuntime struct {
 	await       map[topology.NodeID]bool
 }
 
-// chaosEnv is the run state installChaos wires into.
+// chaosEnv is the serial run state installChaos wires into: the built
+// pipeline plus the serial drive's engine, fault machinery and error
+// sink.
 type chaosEnv struct {
-	eng      *des.Engine
-	net      *ccn.Network
-	det      *coord.Detector // nil outside the coordinated policy
-	inj      *fault.Injector
-	coordAsg *coord.Assignment
-	localSet []catalog.ID
-	routers  []topology.NodeID
-	sc       Scenario
-	chaos    *fault.CompiledChaos
-	fail     func(error)
+	*pipeline
+	eng  *des.Engine
+	det  *coord.Detector // nil outside the coordinated policy
+	inj  *fault.Injector
+	fail func(error)
 }
 
 // finish closes windows still open when the run ends.
@@ -110,7 +106,7 @@ func installChaos(env chaosEnv) (*chaosRuntime, error) {
 	if len(env.chaos.Coordinator) == 0 {
 		return cr, nil
 	}
-	if env.det == nil || env.coordAsg == nil {
+	if env.det == nil || env.prov.coordAsg == nil {
 		return nil, fmt.Errorf("sim: chaos coordinator outages require the coordinated policy")
 	}
 
@@ -156,7 +152,7 @@ func installChaos(env chaosEnv) (*chaosRuntime, error) {
 			// different crash.
 			cp := &coord.Checkpoint{
 				Epoch:     int64(cr.outages - 1),
-				Placement: &coord.Placement{LocalSet: env.localSet, Assignment: env.coordAsg},
+				Placement: &coord.Placement{LocalSet: env.prov.localSet, Assignment: env.prov.coordAsg},
 			}
 			st := env.det.State()
 			cp.Detector = &st
@@ -188,7 +184,7 @@ func installChaos(env chaosEnv) (*chaosRuntime, error) {
 				env.fail(fmt.Errorf("sim: checkpoint epoch %d does not match outage %d", cp.Epoch, cr.outages-1))
 				return
 			}
-			if err := env.coordAsg.Adopt(cp.Placement.Assignment); err != nil {
+			if err := env.prov.coordAsg.Adopt(cp.Placement.Assignment); err != nil {
 				env.fail(fmt.Errorf("sim: adopting checkpointed placement: %w", err))
 				return
 			}
@@ -202,7 +198,7 @@ func installChaos(env chaosEnv) (*chaosRuntime, error) {
 				if env.det.Declared(r) {
 					continue
 				}
-				contents := env.coordAsg.Contents(r)
+				contents := env.prov.coordAsg.Contents(r)
 				if len(contents) == 0 {
 					continue
 				}

@@ -13,10 +13,10 @@ import (
 )
 
 // provisioned bundles the policy-dependent wiring shared by the serial
-// and sharded run paths: the store factory and caching mode handed to
-// the data plane, the optional redirection directory, and the live
-// coordinated assignment plus replicated local band the fault-repair
-// and checkpoint machinery mutate.
+// and sharded run paths: the store factory handed to the data plane,
+// the optional redirection directory, and the live coordinated
+// assignment plus replicated local band the fault-repair and checkpoint
+// machinery mutate.
 type provisioned struct {
 	directory ccn.Directory
 	// coordAsg is the live coordinated assignment (PolicyCoordinated);
@@ -25,7 +25,6 @@ type provisioned struct {
 	// coordinator checkpoints.
 	coordAsg *coord.Assignment
 	localSet []catalog.ID
-	mode     ccn.CachingMode
 	stores   func(topology.NodeID) (cache.Store, error)
 	// capOf returns a router's storage capacity (heterogeneous override
 	// or the uniform Capacity).
@@ -37,7 +36,7 @@ type provisioned struct {
 // res. It is shared by the serial and sharded run paths so both install
 // bit-identical placements.
 func provisionPolicy(sc Scenario, routers []topology.NodeID, res *Result) (provisioned, error) {
-	prov := provisioned{mode: ccn.CacheNone}
+	var prov provisioned
 	prov.capOf = func(r topology.NodeID) int64 {
 		if sc.Capacities != nil {
 			return sc.Capacities[r]
@@ -59,7 +58,7 @@ func provisionPolicy(sc Scenario, routers []topology.NodeID, res *Result) (provi
 		prov.stores = func(r topology.NodeID) (cache.Store, error) {
 			// The non-coordinated steady state is the contiguous top-k
 			// band; an interval store avoids materializing it per router.
-			return cache.NewStaticRange(1, min64(capOf(r), sc.CatalogSize))
+			return cache.NewStaticRange(1, min(capOf(r), sc.CatalogSize))
 		}
 	case PolicyCoordinated:
 		if sc.Placement != nil {
@@ -97,7 +96,7 @@ func provisionPolicy(sc Scenario, routers []topology.NodeID, res *Result) (provi
 			quotas[i] = coordOf(r)
 			totalCoord += quotas[i]
 		}
-		band := cache.RankRange(maxLocal+1, min64(maxLocal+totalCoord, sc.CatalogSize))
+		band := cache.RankRange(maxLocal+1, min(maxLocal+totalCoord, sc.CatalogSize))
 		var asg *coord.Assignment
 		var err error
 		switch sc.Assignment {
@@ -115,7 +114,7 @@ func provisionPolicy(sc Scenario, routers []topology.NodeID, res *Result) (provi
 		prov.directory = asg
 		prov.coordAsg = asg
 		if maxLocal > 0 {
-			prov.localSet = cache.RankRange(1, min64(maxLocal, sc.CatalogSize))
+			prov.localSet = cache.RankRange(1, min(maxLocal, sc.CatalogSize))
 		}
 		// The placement installation costs one state message up and one
 		// directive down per coordinated content (the protocol's
@@ -127,7 +126,7 @@ func provisionPolicy(sc Scenario, routers []topology.NodeID, res *Result) (provi
 		}
 		recordInstall(sc, routers, asg, maxLocal, res.CoordMessages)
 		prov.stores = func(r topology.NodeID) (cache.Store, error) {
-			local, err := cache.NewStaticRange(1, min64(capOf(r)-coordOf(r), sc.CatalogSize))
+			local, err := cache.NewStaticRange(1, min(capOf(r)-coordOf(r), sc.CatalogSize))
 			if err != nil {
 				return nil, err
 			}
@@ -137,35 +136,37 @@ func provisionPolicy(sc Scenario, routers []topology.NodeID, res *Result) (provi
 			}
 			return cache.NewPartitioned(local, coordPart)
 		}
-	case PolicyLRU:
-		prov.mode = ccn.CacheLCE
+	case PolicyLRU, PolicyProbCache:
 		prov.stores = func(r topology.NodeID) (cache.Store, error) {
 			return cache.NewLRU(int(capOf(r)))
 		}
 	case PolicyLFU:
-		prov.mode = ccn.CacheLCE
 		prov.stores = func(r topology.NodeID) (cache.Store, error) {
 			return cache.NewLFU(int(capOf(r)))
 		}
 	case PolicySLRU:
-		prov.mode = ccn.CacheLCE
 		prov.stores = func(r topology.NodeID) (cache.Store, error) {
 			return cache.NewSLRU(int(capOf(r)), 0.8)
 		}
 	case PolicyTwoQ:
-		prov.mode = ccn.CacheLCE
 		prov.stores = func(r topology.NodeID) (cache.Store, error) {
 			return cache.NewTwoQ(int(capOf(r)), 0.25)
-		}
-	case PolicyProbCache:
-		prov.mode = ccn.CacheProb
-		prov.stores = func(r topology.NodeID) (cache.Store, error) {
-			return cache.NewLRU(int(capOf(r)))
 		}
 	default:
 		return provisioned{}, fmt.Errorf("sim: unknown policy %d", sc.Policy)
 	}
 	return prov, nil
+}
+
+// cachingMode is the data plane's on-path caching mode under the policy.
+func (p Policy) cachingMode() ccn.CachingMode {
+	switch p {
+	case PolicyLRU, PolicyLFU, PolicySLRU, PolicyTwoQ:
+		return ccn.CacheLCE
+	case PolicyProbCache:
+		return ccn.CacheProb
+	}
+	return ccn.CacheNone
 }
 
 // maxPairwiseLatency returns the largest entry of a measured latency

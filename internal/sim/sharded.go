@@ -1,9 +1,9 @@
-// Sharded scenario execution: the same measurement as runSerial, driven
-// by the conservative parallel engine. The topology is partitioned
-// deterministically (topology.PartitionGraph), each region's routers
-// live on one event-loop shard, and the minimum latency over cut edges
-// is the engine's lookahead — no cross-shard packet can arrive sooner,
-// so shards safely run ahead of each other by one window.
+// Sharded scenario execution: the drive stage on the conservative
+// parallel engine, and the rule that picks it. The topology is
+// partitioned deterministically (topology.PartitionGraph), each
+// region's routers live on one event-loop shard, and the minimum latency
+// over cut edges is the engine's lookahead — no cross-shard packet can
+// arrive sooner, so shards safely run ahead of each other by one window.
 //
 // Determinism is preserved end to end: request identities are dealt in
 // global arrival-time order before the run (the serial engine's shared
@@ -11,13 +11,12 @@
 // its completions into a private buffer, and the buffers are merged in
 // (completion-time, request-ID) order after the run — the order the
 // serial engine fires completion callbacks in — before being replayed
-// through the same aggregation arithmetic. A scenario run at any shard
-// count therefore produces an identical Result.
+// through the same collector. A scenario run at any shard count
+// therefore produces an identical Result.
 package sim
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -25,11 +24,8 @@ import (
 
 	"ccncoord/internal/catalog"
 	"ccncoord/internal/ccn"
-	"ccncoord/internal/coord"
 	"ccncoord/internal/des"
-	"ccncoord/internal/metrics"
 	"ccncoord/internal/topology"
-	"ccncoord/internal/workload"
 )
 
 // maxAutoShards caps automatic shard selection: beyond ~8 shards the
@@ -88,52 +84,23 @@ func ResolveShardsReason(sc Scenario) (parts int, fallback string) {
 }
 
 // shardBlockers lists the scenario features that keep it off the
-// sharded engine. Features that funnel every event through one piece of
-// globally ordered shared state — fault and chaos timelines, the loss
-// and probabilistic-admission RNGs, link-queueing accumulators, the
-// trace stream, and workload factories with unknown internal sharing —
-// run serially instead. An empty list means the scenario is shardable.
+// sharded engine: the data plane's own (ccn.ShardBlockers), then a
+// custom workload factory, whose generators may share state across
+// routers in ways the sim cannot see. An empty list means the scenario
+// is shardable.
 func shardBlockers(sc Scenario) []string {
-	var b []string
-	if sc.faultsEnabled() {
-		b = append(b, "fault injection")
-	}
-	if sc.LossRate != 0 {
-		b = append(b, "loss process")
-	}
-	if sc.LinkRate != 0 {
-		b = append(b, "link queueing")
-	}
-	if sc.Tracer != nil {
-		b = append(b, "event tracing")
-	}
-	if sc.Policy == PolicyProbCache {
-		b = append(b, "probabilistic caching")
-	}
+	b := ccn.ShardBlockers(sc.netOptions())
 	if sc.WorkloadFactory != nil {
 		b = append(b, "custom workload factory")
 	}
 	return b
 }
 
-// runSharded executes the (already validated) scenario on parts
-// event-loop shards.
-func runSharded(sc Scenario, parts int) (Result, error) {
-	part, err := topology.PartitionGraph(sc.Topology, parts)
-	if err != nil {
-		return Result{}, fmt.Errorf("sim: partitioning topology: %w", err)
-	}
-	if part.Parts < 2 || !(part.CutLatency > 0) {
-		// A zero-latency cut edge leaves no lookahead to run ahead on;
-		// fall back to the serial engine rather than degenerate into
-		// lock-step windows. Record the downgrade when the caller asked
-		// for shards explicitly, so the manifest does not read as a
-		// sharded run that never happened.
-		if sc.Shards >= 2 {
-			sc.shardFallbackReason = "degenerate partition: no positive-latency cut edge for lookahead"
-		}
-		return runSerial(sc)
-	}
+// runSharded is the drive stage on the conservative parallel engine,
+// one event-loop shard per region of part. Completions are buffered per
+// shard and replayed through the collector after the run, in serial
+// completion order.
+func runSharded(sc Scenario, part *topology.Partition) (Result, error) {
 	se, err := des.NewSharded(part.Parts, part.CutLatency)
 	if err != nil {
 		return Result{}, fmt.Errorf("sim: %w", err)
@@ -141,138 +108,29 @@ func runSharded(sc Scenario, parts int) (Result, error) {
 	if sc.EngineTelemetry {
 		se.EnableTelemetry()
 	}
-	cat, err := catalog.New(sc.CatalogSize, "/sim")
-	if err != nil {
-		return Result{}, fmt.Errorf("sim: %w", err)
-	}
-
-	res := Result{Policy: sc.Policy}
-
-	routers := make([]topology.NodeID, sc.Topology.N())
-	for i := range routers {
-		routers[i] = topology.NodeID(i)
-	}
-	prov, err := provisionPolicy(sc, routers, &res)
+	pl, err := build(sc, func(cat *catalog.Catalog, opts ccn.Options) (*ccn.Network, error) {
+		return ccn.NewShardedNetwork(se, part.Of, sc.Topology, cat, opts)
+	})
 	if err != nil {
 		return Result{}, err
 	}
-
-	net, err := ccn.NewShardedNetwork(se, part.Of, sc.Topology, cat, ccn.Options{
-		AccessLatency: sc.AccessLatency,
-		Stores:        prov.stores,
-		Mode:          prov.mode,
-		Directory:     prov.directory,
-		RetxTimeout:   sc.RetxTimeout,
-		Routing:       sc.Routing,
-	})
-	if err != nil {
-		return Result{}, fmt.Errorf("sim: %w", err)
-	}
-	if sc.OriginGateway >= 0 {
-		err = net.AttachOriginAt(sc.OriginGateway, sc.OriginLatency)
-	} else {
-		err = net.AttachOriginUniform(sc.OriginLatency)
-	}
-	if err != nil {
-		return Result{}, fmt.Errorf("sim: %w", err)
-	}
-	// The latency histogram's range, taken at set-up as in runSerial:
-	// the diameter sweep solves the routing trees in parallel, keeping
-	// them while the table has room, before the shards start, so the
-	// request path does not solve them one at a time under the table's
-	// lock.
-	maxRTT := 2 * (sc.AccessLatency + 2*net.Routes().MaxDist() + sc.OriginLatency) * rttHeadroom
-
-	// Request quotas, identical to the serial layout.
-	interArrival := sc.MeanInterArrival
-	if interArrival <= 0 {
-		interArrival = 1
-	}
-	total := sc.Requests + sc.Warmup
-	perRouter := total / len(routers)
-	extra := total % len(routers)
-	warmPerRouter := sc.Warmup / len(routers)
-	warmExtra := sc.Warmup % len(routers)
-	reqsOf := func(i int) (nReq, nWarm int) {
-		nReq = perRouter
-		if i < extra {
-			nReq++
-		}
-		nWarm = warmPerRouter
-		if i < warmExtra {
-			nWarm++
-		}
-		return nReq, nWarm
-	}
-
-	// Deal the global request identities before the run; the serial
-	// engine's shared counter would allocate them in exactly this order.
-	ids := assignRequestIDs(sc.Seed, len(routers), interArrival, reqsOf)
+	dealRequestIDs(sc.Seed, pl.interArrival, pl.procs)
 
 	// Per-shard completion buffers and error slots. Completion callbacks
 	// run on the shard owning the client's first-hop router, so each
-	// buffer is touched by exactly one shard; they are merged and
-	// replayed single-threaded after the run.
+	// buffer is touched by exactly one shard.
 	nShards := se.Shards()
 	bufs := make([][]ccn.RequestResult, nShards)
 	errs := make([]error, nShards)
-	measuredCBs := make([]func(ccn.RequestResult), nShards)
-	for s := 0; s < nShards; s++ {
-		s := s
-		measuredCBs[s] = func(result ccn.RequestResult) { bufs[s] = append(bufs[s], result) }
+	record := make([]func(ccn.RequestResult), nShards)
+	for s := range record {
+		record[s] = func(result ccn.RequestResult) { bufs[s] = append(bufs[s], result) }
 	}
-	warmCB := func(ccn.RequestResult) {}
-
-	var issue func(p *shardArrivalProc)
-	issue = func(p *shardArrivalProc) {
-		s := p.shard.ID()
-		if errs[s] != nil {
-			return // this shard's stream already failed; drain quietly
-		}
-		id := p.gen.Next()
-		cb := measuredCBs[s]
-		if p.k < p.nWarm {
-			cb = warmCB
-		}
-		reqID := p.ids[p.k]
-		p.k++
-		if err := net.RequestWithID(p.router, id, reqID, cb); err != nil {
-			errs[s] = fmt.Errorf("sim: issuing request at router %d: %w", p.router, err)
-			return
-		}
-		if p.k < len(p.ids) {
-			p.t += p.rng.ExpFloat64() * interArrival
-			if err := p.shard.At(p.t, p.tick); err != nil {
-				errs[s] = fmt.Errorf("sim: scheduling request: %w", err)
-			}
-		}
-	}
-
-	family, err := workload.NewZipfFamily(sc.ZipfS, sc.CatalogSize)
-	if err != nil {
-		return Result{}, fmt.Errorf("sim: %w", err)
-	}
-	for i, r := range routers {
-		gen, err := family.Gen(WorkloadSeed(sc.Seed, i))
-		if err != nil {
-			return Result{}, fmt.Errorf("sim: workload for router %d: %w", r, err)
-		}
-		nReq, nWarm := reqsOf(i)
-		if nReq == 0 {
-			continue
-		}
-		p := &shardArrivalProc{
-			router: r,
-			shard:  se.Shard(int(part.Of[r])),
-			gen:    gen,
-			rng:    rand.New(rand.NewSource(ArrivalSeed(sc.Seed, i))),
-			ids:    ids[i],
-			nWarm:  nWarm,
-		}
-		p.tick = func() { issue(p) }
-		p.t = p.rng.ExpFloat64() * interArrival
-		if err := p.shard.At(p.t, p.tick); err != nil {
-			return Result{}, fmt.Errorf("sim: scheduling request: %w", err)
+	for _, p := range pl.procs {
+		s := int(part.Of[p.router])
+		p.sched, p.done, p.err = se.Shard(s), record[s], &errs[s]
+		if err := p.start(); err != nil {
+			return Result{}, err
 		}
 	}
 
@@ -283,7 +141,6 @@ func runSharded(sc Scenario, parts int) (Result, error) {
 			return Result{}, e
 		}
 	}
-
 	// Merge the per-shard buffers into serial completion order. The key
 	// (CompletedAt, Req) is unique per request and matches the serial
 	// engine's callback order: simultaneous completions only arise from
@@ -299,163 +156,46 @@ func runSharded(sc Scenario, parts int) (Result, error) {
 		}
 		return all[i].Req < all[j].Req
 	})
-	measured := len(all)
-	if measured == 0 {
-		return Result{}, fmt.Errorf("sim: no measured requests completed")
-	}
-
-	// Replay the merged completions through the same aggregation
-	// arithmetic runSerial applies in its completion callback, in the
-	// same order, so every mean and histogram is bit-identical.
-	reg := metrics.NewRegistry()
-	latency := reg.Mean("latency_ms")
-	hops := reg.Mean("hops")
-	peerHops := reg.Mean("peer_hops")
-	tierLat := [3]*metrics.Mean{
-		reg.Mean("tier_latency_local_ms"),
-		reg.Mean("tier_latency_peer_ms"),
-		reg.Mean("tier_latency_origin_ms"),
-	}
-	latencyHist, err := reg.Histogram("latency_ms", 0, math.Max(maxRTT, 1), 2048)
-	if err != nil {
-		return Result{}, fmt.Errorf("sim: %w", err)
-	}
-	counts := reg.Counter("served_by")
-	peerServes := make(map[topology.NodeID]int64)
-	var reportCounts []map[catalog.ID]int64
-	if sc.CollectReports {
-		reportCounts = make([]map[catalog.ID]int64, len(routers))
-		for i := range reportCounts {
-			reportCounts[i] = make(map[catalog.ID]int64)
-		}
-	}
-	var avail metrics.Availability
 	for _, result := range all {
-		if sc.Observer != nil {
-			sc.Observer(result)
-		}
-		counts.Inc(result.ServedBy.String())
-		if result.Failed {
-			avail.ObserveFailed()
-			continue
-		}
-		avail.ObserveOK()
-		latency.Observe(result.Latency())
-		latencyHist.Observe(result.Latency())
-		hops.Observe(float64(result.Hops))
-		tierLat[int(result.ServedBy)].Observe(result.Latency())
-		if result.ServedBy == ccn.ServedPeer {
-			peerHops.Observe(float64(result.Hops))
-			peerServes[result.Server]++
-		}
-		if reportCounts != nil {
-			reportCounts[result.Router][result.Content]++
-		}
+		pl.col.observe(result)
 	}
 
-	res.Requests = measured
-	res.OriginLoad = float64(counts.Get("origin")) / float64(measured)
-	res.LocalHit = float64(counts.Get("local")) / float64(measured)
-	res.PeerHit = float64(counts.Get("peer")) / float64(measured)
-	res.MeanLatency = latency.Value()
-	res.LatencyP50 = latencyHist.Quantile(0.50)
-	res.LatencyP95 = latencyHist.Quantile(0.95)
-	res.LatencyP99 = latencyHist.Quantile(0.99)
-	res.MeanHops = hops.Value()
-	res.TierLatency = TierLatencies{
-		Local:  tierLat[int(ccn.ServedLocal)].Value(),
-		Peer:   tierLat[int(ccn.ServedPeer)].Value(),
-		Origin: tierLat[int(ccn.ServedOrigin)].Value(),
+	me := ManifestEngine{
+		EventsProcessed:  se.Processed(),
+		PendingPeak:      se.PendingPeak(),
+		Shards:           nShards,
+		CrossShardEvents: se.CrossShardEvents(),
 	}
-	res.PeerHops = peerHops.Value()
-	if len(peerServes) > 0 {
-		var total, worst int64
-		for _, c := range peerServes {
-			total += c
-			if c > worst {
-				worst = c
-			}
-		}
-		mean := float64(total) / float64(len(peerServes))
-		res.PeerLoadImbalance = float64(worst) / mean
+	if sc.EngineTelemetry {
+		st := se.Stats()
+		me.Windows = st.Windows
+		me.MeanWindowSpanMs = st.MeanWindowSpanMs
+		me.ShardStats = st.PerShard
+		me.CrossShardMatrix = st.CrossShardMatrix
 	}
-	res.InterestTransmissions = net.InterestTransmissions()
-	res.DataTransmissions = net.DataTransmissions()
-	res.DroppedInterests = net.DroppedInterests()
-	res.DroppedData = net.DroppedData()
-	res.Retransmissions = net.Retransmissions()
-	res.MeanQueueingDelay = net.MeanQueueingDelay()
-	res.QueuedPackets = net.QueuedPackets()
-	res.FailedRequests = net.FailedRequests()
-	res.Availability = avail.Value()
-	res.FaultDrops = net.FaultDrops()
-	res.ExpiredInterests = net.ExpiredInterests()
-	res.RouteRecomputes = net.RouteRecomputes()
-	if reportCounts != nil {
-		res.Reports = make([]coord.Report, len(routers))
-		for i, r := range routers {
-			res.Reports[i] = coord.Report{Router: r, Counts: reportCounts[i]}
-		}
-	}
-	if sc.EmitManifest {
-		me := ManifestEngine{
-			EventsProcessed:  se.Processed(),
-			PendingPeak:      se.PendingPeak(),
-			Shards:           se.Shards(),
-			CrossShardEvents: se.CrossShardEvents(),
-		}
-		if sc.EngineTelemetry {
-			st := se.Stats()
-			me.Windows = st.Windows
-			me.MeanWindowSpanMs = st.MeanWindowSpanMs
-			me.ShardStats = st.PerShard
-			me.CrossShardMatrix = st.CrossShardMatrix
-		}
-		res.Manifest = buildManifest(sc, res, me, net, reg, avail.Snapshot())
-	}
-	return res, nil
+	return pl.collect(me)
 }
 
-// shardArrivalProc is one router's self-rescheduling Poisson arrival
-// process pinned to the shard owning the router. Its request identities
-// were dealt up front (see assignRequestIDs); k indexes both the next
-// identity and the warmup boundary.
-type shardArrivalProc struct {
-	router topology.NodeID
-	shard  *des.Shard
-	gen    workload.Generator
-	rng    *rand.Rand
-	tick   func()
-	t      float64
-	ids    []int64 // precomputed global request IDs, arrival order
-	k      int     // requests issued so far
-	nWarm  int     // leading unmeasured requests
-}
-
-// assignRequestIDs replays every router's arrival clock (the same
-// ArrivalSeed streams the live processes draw from) and deals the
-// global request identities 1..total in arrival-time order — the order
-// the serial engine's shared counter allocates them in. Exact-time ties
-// across routers break by router index, matching the serial engine's
-// scheduling order for simultaneous arrivals; between independent
-// continuous exponential clocks such ties otherwise have measure zero.
-// The result is per-router: ids[i][k] is the identity of router i's
-// k-th arrival (warmup included).
-func assignRequestIDs(seed int64, nRouters int, interArrival float64, reqsOf func(int) (int, int)) [][]int64 {
+// dealRequestIDs replays every process's arrival clock (a fresh copy of
+// the stream the live process draws from) and deals the global request
+// identities 1..total in arrival-time order — the order the serial
+// engine's shared counter allocates them in — into each process's ids.
+// Exact-time ties across routers break by router index, matching the
+// serial engine's scheduling order for simultaneous arrivals; between
+// independent continuous exponential clocks such ties otherwise have
+// measure zero.
+func dealRequestIDs(seed int64, interArrival float64, procs []*arrivalProc) {
 	type cursor struct {
-		i   int // router index
+		p   *arrivalProc
 		rng *rand.Rand
 		t   float64 // pending arrival time
-		k   int     // arrivals dealt so far
-		n   int     // total arrivals
 	}
-	ids := make([][]int64, nRouters)
-	h := make([]*cursor, 0, nRouters)
+	h := make([]*cursor, 0, len(procs))
 	less := func(a, b *cursor) bool {
 		if a.t != b.t {
 			return a.t < b.t
 		}
-		return a.i < b.i
+		return a.p.router < b.p.router
 	}
 	siftDown := func(i int) {
 		for {
@@ -474,14 +214,10 @@ func assignRequestIDs(seed int64, nRouters int, interArrival float64, reqsOf fun
 			i = best
 		}
 	}
-	for i := 0; i < nRouters; i++ {
-		nReq, _ := reqsOf(i)
-		if nReq == 0 {
-			continue
-		}
-		c := &cursor{i: i, rng: rand.New(rand.NewSource(ArrivalSeed(seed, i))), n: nReq}
+	for _, p := range procs {
+		c := &cursor{p: p, rng: arrivalClock(seed, int(p.router))}
 		c.t = c.rng.ExpFloat64() * interArrival
-		ids[i] = make([]int64, 0, nReq)
+		p.ids = make([]int64, 0, p.nReq)
 		h = append(h, c)
 	}
 	// Heapify (cursors were appended in router order).
@@ -492,9 +228,8 @@ func assignRequestIDs(seed int64, nRouters int, interArrival float64, reqsOf fun
 	for len(h) > 0 {
 		c := h[0]
 		next++
-		ids[c.i] = append(ids[c.i], next)
-		c.k++
-		if c.k == c.n {
+		c.p.ids = append(c.p.ids, next)
+		if len(c.p.ids) == c.p.nReq {
 			h[0] = h[len(h)-1]
 			h = h[:len(h)-1]
 		} else {
@@ -502,5 +237,4 @@ func assignRequestIDs(seed int64, nRouters int, interArrival float64, reqsOf fun
 		}
 		siftDown(0)
 	}
-	return ids
 }

@@ -8,80 +8,116 @@ import (
 
 	"ccncoord/internal/ccn"
 	"ccncoord/internal/fault"
+	"ccncoord/internal/timeline"
 	"ccncoord/internal/topology"
 	"ccncoord/internal/trace"
 	"ccncoord/internal/workload"
 )
 
-// TestRunShardedMatchesSerial is the tentpole determinism guarantee:
-// the same scenario run serially and on 4 shards must produce identical
-// Results — every float bit — identical observer streams (completion
-// order included), and byte-identical manifests outside the Engine
-// gauges (PendingPeak is approximated under sharding).
+// TestRunShardedMatchesSerial is the tentpole determinism guarantee, over
+// every shardable provisioning: each scenario run serially and on 4
+// shards must produce identical Results — every float bit — identical
+// observer streams (completion order included), and byte-identical
+// manifests outside the Engine gauges (PendingPeak is approximated
+// under sharding). Dynamic-cache and non-coordinated cases attach the
+// origin behind one gateway: uniform uplinks with no directory would
+// keep every packet shard-local.
 func TestRunShardedMatchesSerial(t *testing.T) {
-	for _, policy := range []Policy{PolicyCoordinated, PolicyLRU} {
-		var results []Result
-		var manifests [][]byte
-		var observed [][]ccn.RequestResult
-		var engines []ManifestEngine
-		for _, shards := range []int{1, 4} {
-			var seen []ccn.RequestResult
-			sc := testScenario()
-			sc.Policy = policy
-			if policy == PolicyLRU {
-				// Uniform origin uplinks plus no directory would keep every
-				// packet shard-local; attach the origin behind one gateway
-				// so the LRU case exercises cross-shard forwarding.
-				sc.OriginGateway = 0
+	base := testScenario()
+	n := base.Topology.N()
+	routers := make([]topology.NodeID, n)
+	for i := range routers {
+		routers[i] = topology.NodeID(i)
+	}
+	counts := map[catalogID]int64{}
+	for rank := int64(1); rank <= 2000; rank++ {
+		counts[catalogID(rank)] = 3000 - rank
+	}
+	placement, err := computePlacement(routers, counts, base.Capacity-base.Coordinated, base.Coordinated)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hetero := make([]int64, n)
+	for i := range hetero {
+		hetero[i] = 60 + 80*int64(i%2)
+	}
+	cases := []struct {
+		name   string
+		mutate func(*Scenario)
+	}{
+		{"non-coordinated", func(sc *Scenario) { sc.Policy = PolicyNonCoordinated }},
+		{"coordinated stripe with timeline", func(sc *Scenario) { sc.Timeline = timeline.NewRing(8) }},
+		{"coordinated hash", func(sc *Scenario) { sc.Assignment = AssignHash }},
+		{"coordinated heterogeneous", func(sc *Scenario) { sc.Capacities = hetero }},
+		{"coordinated external placement", func(sc *Scenario) { sc.Placement = placement }},
+		{"lru", func(sc *Scenario) { sc.Policy = PolicyLRU }},
+		{"lfu", func(sc *Scenario) { sc.Policy = PolicyLFU }},
+		{"slru", func(sc *Scenario) { sc.Policy = PolicySLRU }},
+		{"2q", func(sc *Scenario) { sc.Policy = PolicyTwoQ }},
+		{"no warmup", func(sc *Scenario) { sc.Warmup = 0 }},
+		{"fewer requests than routers", func(sc *Scenario) { sc.Requests, sc.Warmup = n/2, 1 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var results []Result
+			var manifests [][]byte
+			var observed [][]ccn.RequestResult
+			var engines []ManifestEngine
+			for _, shards := range []int{1, 4} {
+				var seen []ccn.RequestResult
+				sc := testScenario()
+				sc.Requests, sc.Warmup = 4000, 400
+				sc.Shards = shards
+				sc.CollectReports = true
+				sc.EmitManifest = true
+				sc.Observer = func(r ccn.RequestResult) { seen = append(seen, r) }
+				tc.mutate(&sc)
+				if sc.Policy != PolicyCoordinated {
+					sc.OriginGateway = 0
+				}
+				res, err := Run(sc)
+				if err != nil {
+					t.Fatalf("shards=%d: %v", shards, err)
+				}
+				engines = append(engines, res.Manifest.Engine)
+				// Blank the engine gauges before serializing: PendingPeak is
+				// exact serially but a lower bound under sharding, and the
+				// shard gauges differ by construction. Everything else in the
+				// manifest must match to the byte.
+				res.Manifest.Engine = ManifestEngine{}
+				var buf bytes.Buffer
+				if err := res.Manifest.WriteJSON(&buf); err != nil {
+					t.Fatal(err)
+				}
+				manifests = append(manifests, buf.Bytes())
+				res.Manifest = nil
+				results = append(results, res)
+				observed = append(observed, seen)
 			}
-			sc.Requests = 20000
-			sc.Warmup = 2000
-			sc.Shards = shards
-			sc.CollectReports = true
-			sc.EmitManifest = true
-			sc.Observer = func(r ccn.RequestResult) { seen = append(seen, r) }
-			res, err := Run(sc)
-			if err != nil {
-				t.Fatalf("%v shards=%d: %v", policy, shards, err)
+			if !reflect.DeepEqual(results[0], results[1]) {
+				t.Errorf("serial and sharded results differ:\nserial:  %+v\nsharded: %+v", results[0], results[1])
 			}
-			engines = append(engines, res.Manifest.Engine)
-			// Blank the engine gauges before serializing: PendingPeak is
-			// exact serially but a lower bound under sharding, and the
-			// shard gauges differ by construction. Everything else in the
-			// manifest must match to the byte.
-			res.Manifest.Engine = ManifestEngine{}
-			var buf bytes.Buffer
-			if err := res.Manifest.WriteJSON(&buf); err != nil {
-				t.Fatal(err)
+			if !bytes.Equal(manifests[0], manifests[1]) {
+				t.Error("serial and sharded manifests are not byte-identical outside engine gauges")
 			}
-			manifests = append(manifests, buf.Bytes())
-			res.Manifest = nil
-			results = append(results, res)
-			observed = append(observed, seen)
-		}
-		if !reflect.DeepEqual(results[0], results[1]) {
-			t.Errorf("%v: serial and sharded results differ:\nserial:  %+v\nsharded: %+v", policy, results[0], results[1])
-		}
-		if !bytes.Equal(manifests[0], manifests[1]) {
-			t.Errorf("%v: serial and sharded manifests are not byte-identical outside engine gauges", policy)
-		}
-		if !reflect.DeepEqual(observed[0], observed[1]) {
-			t.Errorf("%v: observer streams differ (completion order is not deterministic)", policy)
-		}
-		// The event set is identical — sharding moves events between
-		// loops, it never adds or drops any.
-		if engines[0].EventsProcessed != engines[1].EventsProcessed {
-			t.Errorf("%v: events processed differ: serial %d, sharded %d", policy, engines[0].EventsProcessed, engines[1].EventsProcessed)
-		}
-		if engines[0].Shards != 1 || engines[0].CrossShardEvents != 0 {
-			t.Errorf("%v: serial engine gauges = %+v, want 1 shard and 0 cross-shard events", policy, engines[0])
-		}
-		if engines[1].Shards != 4 {
-			t.Errorf("%v: sharded run reports %d shards, want 4", policy, engines[1].Shards)
-		}
-		if engines[1].CrossShardEvents == 0 {
-			t.Errorf("%v: sharded run reports no cross-shard events on a connected topology", policy)
-		}
+			if !reflect.DeepEqual(observed[0], observed[1]) {
+				t.Error("observer streams differ (completion order is not deterministic)")
+			}
+			// The event set is identical — sharding moves events between
+			// loops, it never adds or drops any.
+			if engines[0].EventsProcessed != engines[1].EventsProcessed {
+				t.Errorf("events processed differ: serial %d, sharded %d", engines[0].EventsProcessed, engines[1].EventsProcessed)
+			}
+			if engines[0].Shards != 1 || engines[0].CrossShardEvents != 0 {
+				t.Errorf("serial engine gauges = %+v, want 1 shard and 0 cross-shard events", engines[0])
+			}
+			if engines[1].Shards != 4 {
+				t.Errorf("sharded run reports %d shards, want 4", engines[1].Shards)
+			}
+			if engines[1].CrossShardEvents == 0 {
+				t.Error("sharded run reports no cross-shard events on a connected topology")
+			}
+		})
 	}
 }
 

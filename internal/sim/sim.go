@@ -9,7 +9,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"ccncoord/internal/cache"
 	"ccncoord/internal/catalog"
@@ -142,7 +141,8 @@ type Scenario struct {
 	OriginGateway topology.NodeID
 
 	// MeanInterArrival is the per-router mean of the exponential
-	// inter-arrival time (ms). Zero selects 1 ms.
+	// inter-arrival time (ms). Zero selects 1 ms; it must be finite and
+	// non-negative.
 	MeanInterArrival float64
 
 	// LossRate is the per-transmission drop probability on network
@@ -255,13 +255,6 @@ type Scenario struct {
 	// ResolveShards.
 	Shards int
 
-	// shardFallbackReason records why an explicit multi-shard request
-	// fell back to the serial engine ("" when no fallback happened).
-	// Run populates it from ResolveShardsReason — or from the sharded
-	// path's degenerate-partition bailout — before dispatching to
-	// runSerial, which copies it into the manifest's engine section.
-	shardFallbackReason string
-
 	// EngineTelemetry opts the run into the sharded engine's extended
 	// telemetry: window accounting, per-shard busy/barrier-wait wall
 	// time, and the cross-shard traffic matrix, recorded into the
@@ -297,6 +290,26 @@ func (s Scenario) faultsEnabled() bool {
 	return len(s.FaultScript) > 0 || s.MTBF > 0 || s.Chaos != nil
 }
 
+// netOptions is the data plane's configuration under the scenario,
+// before provisioning supplies stores, directory and degraded overlays.
+func (s Scenario) netOptions() ccn.Options {
+	return ccn.Options{
+		AccessLatency:    s.AccessLatency,
+		Mode:             s.Policy.cachingMode(),
+		LossRate:         s.LossRate,
+		RetxTimeout:      s.RetxTimeout,
+		LossSeed:         s.Seed + 7,
+		CacheProbability: probCacheAdmission,
+		LinkRate:         s.LinkRate,
+		Faults:           s.faultsEnabled(),
+		Tracer:           s.Tracer,
+		Routing:          s.Routing,
+	}
+}
+
+// finite reports whether x is neither NaN nor infinite.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
 // Validate checks the scenario parameters.
 func (s Scenario) Validate() error {
 	switch {
@@ -322,18 +335,20 @@ func (s Scenario) Validate() error {
 		return fmt.Errorf("sim: need at least 1 measured request, got %d", s.Requests)
 	case s.Warmup < 0:
 		return fmt.Errorf("sim: negative warmup %d", s.Warmup)
-	case s.AccessLatency < 0:
-		return fmt.Errorf("sim: negative access latency %v", s.AccessLatency)
-	case !(s.OriginLatency > 0):
-		return fmt.Errorf("sim: origin latency must be positive, got %v", s.OriginLatency)
+	case !finite(s.AccessLatency) || s.AccessLatency < 0:
+		return fmt.Errorf("sim: access latency must be finite and non-negative, got %v", s.AccessLatency)
+	case !finite(s.OriginLatency) || !(s.OriginLatency > 0):
+		return fmt.Errorf("sim: origin latency must be finite and positive, got %v", s.OriginLatency)
+	case !finite(s.MeanInterArrival) || s.MeanInterArrival < 0:
+		return fmt.Errorf("sim: mean inter-arrival must be finite and non-negative, got %v", s.MeanInterArrival)
 	case int(s.OriginGateway) >= s.Topology.N():
 		return fmt.Errorf("sim: origin gateway %d outside topology", s.OriginGateway)
-	case s.LossRate < 0 || s.LossRate >= 1:
+	case !(s.LossRate >= 0 && s.LossRate < 1):
 		return fmt.Errorf("sim: loss rate %v outside [0, 1)", s.LossRate)
 	case s.LossRate > 0 && !(s.RetxTimeout > 0):
 		return fmt.Errorf("sim: lossy fabric requires a positive retransmission timeout")
-	case s.LinkRate < 0:
-		return fmt.Errorf("sim: negative link rate %v", s.LinkRate)
+	case !finite(s.LinkRate) || s.LinkRate < 0:
+		return fmt.Errorf("sim: link rate must be finite and non-negative, got %v", s.LinkRate)
 	case s.MTBF < 0:
 		return fmt.Errorf("sim: negative MTBF %v", s.MTBF)
 	case s.MTTR < 0:
@@ -542,162 +557,41 @@ func Run(sc Scenario) (Result, error) {
 	}
 	p, fallback := ResolveShardsReason(sc)
 	if p > 1 {
-		return runSharded(sc, p)
-	}
-	sc.shardFallbackReason = fallback
-	return runSerial(sc)
-}
-
-// runSerial executes the (already validated) scenario on the
-// single-threaded engine.
-func runSerial(sc Scenario) (Result, error) {
-	eng := &des.Engine{}
-	cat, err := catalog.New(sc.CatalogSize, "/sim")
-	if err != nil {
-		return Result{}, fmt.Errorf("sim: %w", err)
-	}
-
-	// Expand the chaos scenario against the topology up front; Validate
-	// already proved it compiles.
-	var chaos *fault.CompiledChaos
-	if sc.Chaos != nil {
-		chaos, err = sc.Chaos.Compile(sc.Topology)
+		part, err := topology.PartitionGraph(sc.Topology, p)
 		if err != nil {
-			return Result{}, fmt.Errorf("sim: %w", err)
+			return Result{}, fmt.Errorf("sim: partitioning topology: %w", err)
+		}
+		if part.Parts >= 2 && part.CutLatency > 0 {
+			return runSharded(sc, part)
+		}
+		// A zero-latency cut edge leaves no lookahead to run ahead on;
+		// run serially rather than degenerate into lock-step windows.
+		// Record the downgrade when the caller asked for shards
+		// explicitly, so the manifest does not read as a sharded run that
+		// never happened.
+		if sc.Shards >= 2 {
+			fallback = "degenerate partition: no positive-latency cut edge for lookahead"
 		}
 	}
+	return runSerial(sc, fallback)
+}
 
-	res := Result{Policy: sc.Policy}
-
-	// Provision stores and optional directory according to the policy.
-	routers := make([]topology.NodeID, sc.Topology.N())
-	for i := range routers {
-		routers[i] = topology.NodeID(i)
-	}
-	prov, err := provisionPolicy(sc, routers, &res)
+// runSerial is the drive stage on the single-threaded engine. Around the
+// shared pipeline it owns what only a serial run can hold: the fault
+// timeline, the failure detector and its repairs, the chaos coordination
+// timeline, and the trace stream. Completions are observed live.
+// fallback is why an explicit multi-shard request runs here ("" when
+// none was made).
+func runSerial(sc Scenario, fallback string) (Result, error) {
+	eng := &des.Engine{}
+	pl, err := build(sc, func(cat *catalog.Catalog, opts ccn.Options) (*ccn.Network, error) {
+		return ccn.NewNetwork(eng, sc.Topology, cat, opts)
+	})
 	if err != nil {
 		return Result{}, err
 	}
-	directory, coordAsg, localSet := prov.directory, prov.coordAsg, prov.localSet
-	mode, stores, capOf := prov.mode, prov.stores, prov.capOf
-
-	// Degraded-mode overlays: plain LRU stores of each router's full
-	// capacity, built lazily only if the plane ever actually degrades.
-	var degradedStores func(topology.NodeID) (cache.Store, error)
-	if chaos != nil {
-		degradedStores = func(r topology.NodeID) (cache.Store, error) {
-			c := int(capOf(r))
-			if c < 1 {
-				c = 1
-			}
-			return cache.NewLRU(c)
-		}
-	}
-
-	net, err := ccn.NewNetwork(eng, sc.Topology, cat, ccn.Options{
-		AccessLatency:    sc.AccessLatency,
-		Stores:           stores,
-		Mode:             mode,
-		Directory:        directory,
-		DegradedStores:   degradedStores,
-		LossRate:         sc.LossRate,
-		RetxTimeout:      sc.RetxTimeout,
-		LossSeed:         sc.Seed + 7,
-		CacheProbability: probCacheAdmission,
-		LinkRate:         sc.LinkRate,
-		Faults:           sc.faultsEnabled(),
-		Tracer:           sc.Tracer,
-		Routing:          sc.Routing,
-	})
-	if err != nil {
-		return Result{}, fmt.Errorf("sim: %w", err)
-	}
-	if sc.OriginGateway >= 0 {
-		err = net.AttachOriginAt(sc.OriginGateway, sc.OriginLatency)
-	} else {
-		err = net.AttachOriginUniform(sc.OriginLatency)
-	}
-	if err != nil {
-		return Result{}, fmt.Errorf("sim: %w", err)
-	}
-
-	// Per-router workloads and Poisson arrival processes. Arrivals are
-	// scheduled lazily: one self-rescheduling event per router draws the
-	// next inter-arrival gap and content when it fires, so the pending
-	// event count stays O(routers + in-flight) instead of O(total
-	// requests) — the request pre-materialization loop this replaces put
-	// one heap closure per request on the event queue up front.
-	interArrival := sc.MeanInterArrival
-	if interArrival <= 0 {
-		interArrival = 1
-	}
-	total := sc.Requests + sc.Warmup
-	perRouter := total / len(routers)
-	extra := total % len(routers)
-	warmPerRouter := sc.Warmup / len(routers)
-	warmExtra := sc.Warmup % len(routers)
-	// reqsOf returns router i's request and warmup quota.
-	reqsOf := func(i int) (nReq, nWarm int) {
-		nReq = perRouter
-		if i < extra {
-			nReq++
-		}
-		nWarm = warmPerRouter
-		if i < warmExtra {
-			nWarm++
-		}
-		return nReq, nWarm
-	}
-
-	// The run's scalar aggregates live in a named registry so the
-	// manifest can snapshot them all at once; the hot path holds direct
-	// pointers, so the registry costs nothing per request.
-	reg := metrics.NewRegistry()
-	latency := reg.Mean("latency_ms")
-	hops := reg.Mean("hops")
-	peerHops := reg.Mean("peer_hops")
-	tierLat := [3]*metrics.Mean{
-		reg.Mean("tier_latency_local_ms"),
-		reg.Mean("tier_latency_peer_ms"),
-		reg.Mean("tier_latency_origin_ms"),
-	}
-	// The histogram range covers the worst possible round trip — the
-	// leading 2 converts the one-way sum (access latency + there-and-back
-	// network diameter + origin uplink) to a round trip, and rttHeadroom
-	// widens it for retransmission delays. Samples past the headroom
-	// (deep retry backoff) land in the histogram's overflow counter and
-	// saturate quantile estimates at the range edge instead of skewing
-	// them. net.Routes() is the routing backend the network forwards
-	// with (NewNetwork ran first): on the dense backend MaxDist reads
-	// the same cached matrix as before, and on sparse backends it
-	// avoids materializing an O(n²) matrix just for this scalar.
-	maxRTT := 2 * (sc.AccessLatency + 2*net.Routes().MaxDist() + sc.OriginLatency) * rttHeadroom
-	latencyHist, err := reg.Histogram("latency_ms", 0, math.Max(maxRTT, 1), 2048)
-	if err != nil {
-		return Result{}, fmt.Errorf("sim: %w", err)
-	}
-	counts := reg.Counter("served_by")
-	peerServes := make(map[topology.NodeID]int64)
-	var reportCounts []map[catalog.ID]int64
-	if sc.CollectReports {
-		reportCounts = make([]map[catalog.ID]int64, len(routers))
-		for i := range reportCounts {
-			reportCounts[i] = make(map[catalog.ID]int64)
-		}
-	}
-	measured := 0
-
-	// Fault accounting. inj is assigned after the arrival processes are
-	// laid out (the stochastic horizon needs the last arrival time) but
-	// before eng.Run, so the completion callbacks below may consult it.
-	var inj *fault.Injector
-	var avail metrics.Availability
-	var downtime metrics.Downtime
-	var outageOrigin, outageTotal, steadyOrigin, steadyTotal int64
-	// chaosRT tracks the chaos scenario's coordination timeline; it is
-	// installed with the fault machinery but consulted by the completion
-	// callback, so it is declared here.
-	var chaosRT *chaosRuntime
+	net, res, routers := pl.net, &pl.res, pl.routers
+	coordAsg := pl.prov.coordAsg
 
 	// runErr records the first data-plane wiring failure hit inside a
 	// scheduled callback; it stops the arrival streams and fails the run
@@ -709,16 +603,18 @@ func runSerial(sc Scenario) (Result, error) {
 		}
 	}
 
-	// The completion callbacks are shared across all requests: warmup
-	// completions are discarded wholesale, measured ones feed the
-	// aggregators. Sharing them keeps the per-request allocation cost at
-	// zero closures.
-	warmCB := func(ccn.RequestResult) {}
+	// Fault accounting. inj and chaosRT are assigned after the arrival
+	// processes start but before eng.Run, so the completion callback may
+	// consult them.
+	var inj *fault.Injector
+	var downtime metrics.Downtime
+	var outageOrigin, outageTotal, steadyOrigin, steadyTotal int64
+	var chaosRT *chaosRuntime
+
+	// One completion callback serves every measured request, keeping the
+	// per-request allocation cost at zero closures.
 	measuredCB := func(result ccn.RequestResult) {
-		measured++
-		if sc.Observer != nil {
-			sc.Observer(result)
-		}
+		pl.col.observe(result)
 		if sc.Tracer != nil {
 			detail := ""
 			if result.Failed {
@@ -735,159 +631,50 @@ func runSerial(sc Scenario) (Result, error) {
 				Req:     result.Req,
 			})
 		}
-		counts.Inc(result.ServedBy.String())
+		origin := int64(0)
+		if result.ServedBy == ccn.ServedOrigin {
+			origin = 1
+		}
 		if chaosRT != nil && net.Degraded() {
 			chaosRT.degTotal++
-			if result.ServedBy == ccn.ServedOrigin {
-				chaosRT.degOrigin++
-			}
+			chaosRT.degOrigin += origin
 		}
 		if inj != nil {
 			if inj.ActiveFaults() > 0 {
 				outageTotal++
-				if result.ServedBy == ccn.ServedOrigin {
-					outageOrigin++
-				}
+				outageOrigin += origin
 			} else {
 				steadyTotal++
-				if result.ServedBy == ccn.ServedOrigin {
-					steadyOrigin++
-				}
-			}
-		}
-		if result.Failed {
-			avail.ObserveFailed()
-			return
-		}
-		avail.ObserveOK()
-		latency.Observe(result.Latency())
-		latencyHist.Observe(result.Latency())
-		hops.Observe(float64(result.Hops))
-		tierLat[int(result.ServedBy)].Observe(result.Latency())
-		if result.ServedBy == ccn.ServedPeer {
-			peerHops.Observe(float64(result.Hops))
-			peerServes[result.Server]++
-		}
-		if reportCounts != nil {
-			reportCounts[result.Router][result.Content]++
-		}
-	}
-
-	// The default stationary workload shares one immutable Zipf
-	// distribution across routers — the per-(s, N) sampler setup is paid
-	// once, and per-router generators differ only in their RNG stream.
-	var family *workload.ZipfFamily
-	if sc.WorkloadFactory == nil {
-		family, err = workload.NewZipfFamily(sc.ZipfS, sc.CatalogSize)
-		if err != nil {
-			return Result{}, fmt.Errorf("sim: %w", err)
-		}
-	}
-
-	// issue fires one arrival of p: draw the content (the k-th gen.Next
-	// call, exactly as the eager layout drew it), issue the request, and
-	// reschedule the router's single arrival event for the next draw.
-	// Per-router arrivals are time-ordered, so the first nWarm requests
-	// of each router form the warmup phase.
-	var issue func(p *arrivalProc)
-	issue = func(p *arrivalProc) {
-		if runErr != nil {
-			return // the run already failed; let the queue drain quietly
-		}
-		id := p.gen.Next()
-		measuredReq := p.k >= p.nWarm
-		cb := measuredCB
-		if !measuredReq {
-			cb = warmCB
-		}
-		p.k++
-		req, err := net.RequestID(p.router, id, cb)
-		if err != nil {
-			fail(fmt.Errorf("sim: issuing request at router %d: %w", p.router, err))
-			return
-		}
-		// Anchor the request's span at its issue time. Warmup requests
-		// still consume IDs but are deliberately unanchored: span
-		// reconstruction treats ID groups without an issue event as
-		// orphans, keeping measured-span counts aligned with Requests.
-		if measuredReq && sc.Tracer != nil {
-			sc.Tracer.Emit(trace.Event{T: eng.Now(), Kind: trace.KindIssue, Router: int(p.router), Content: int64(id), Req: req})
-		}
-		if p.k < p.nReq {
-			p.t += p.rng.ExpFloat64() * interArrival
-			if err := eng.At(p.t, p.tick); err != nil {
-				fail(fmt.Errorf("sim: scheduling request: %w", err))
+				steadyOrigin += origin
 			}
 		}
 	}
-
-	for i, r := range routers {
-		var gen workload.Generator
-		var err error
-		if sc.WorkloadFactory != nil {
-			gen, err = sc.WorkloadFactory(r)
-		} else {
-			gen, err = family.Gen(WorkloadSeed(sc.Seed, i))
-		}
-		if err != nil {
-			return Result{}, fmt.Errorf("sim: workload for router %d: %w", r, err)
-		}
-		if gen == nil {
-			return Result{}, fmt.Errorf("sim: nil workload generator for router %d", r)
-		}
-		if chaos != nil && chaos.FlashCrowd != nil {
-			gen, err = workload.NewFlashCrowd(gen, chaos.FlashCrowd.AfterRequests, chaos.FlashCrowd.Rank, sc.CatalogSize)
-			if err != nil {
-				return Result{}, fmt.Errorf("sim: flash crowd for router %d: %w", r, err)
-			}
-		}
-		nReq, nWarm := reqsOf(i)
-		if nReq == 0 {
-			continue
-		}
-		p := &arrivalProc{
-			router: r,
-			gen:    gen,
-			rng:    rand.New(rand.NewSource(ArrivalSeed(sc.Seed, i))),
-			nReq:   nReq,
-			nWarm:  nWarm,
-		}
-		p.tick = func() { issue(p) }
-		p.t = p.rng.ExpFloat64() * interArrival
-		if err := eng.At(p.t, p.tick); err != nil {
-			return Result{}, fmt.Errorf("sim: scheduling request: %w", err)
-		}
-	}
-
-	// The stochastic fault horizon needs the time of the last arrival,
-	// which lazy scheduling no longer materializes up front. Replay each
-	// router's arrival clock on a scratch RNG seeded identically —
-	// allocation-free and exact, and only paid on fault runs.
-	maxArrival := 0.0
-	if sc.faultsEnabled() {
-		for i := range routers {
-			nReq, _ := reqsOf(i)
-			rng := rand.New(rand.NewSource(ArrivalSeed(sc.Seed, i)))
-			t := 0.0
-			for k := 0; k < nReq; k++ {
-				t += rng.ExpFloat64() * interArrival
-			}
-			if t > maxArrival {
-				maxArrival = t
-			}
+	for _, p := range pl.procs {
+		p.sched, p.done, p.err = eng, measuredCB, &runErr
+		if err := p.start(); err != nil {
+			return Result{}, err
 		}
 	}
 
 	// Install the fault timeline and, for the coordinated policy, the
 	// coordinator's failure detector + repair pass.
 	var det *coord.Detector
-	var repairs []RepairEvent
-	var repairMessages int64
 	if sc.faultsEnabled() {
-		horizon := math.Max(maxArrival, 1)
+		// The stochastic horizon is the time of the last arrival, which
+		// lazy scheduling does not materialize up front. Replay each
+		// router's arrival clock on a fresh copy — exact, and only paid
+		// on fault runs.
+		horizon := 1.0
+		for _, p := range pl.procs {
+			rng, t := arrivalClock(sc.Seed, int(p.router)), 0.0
+			for k := 0; k < p.nReq; k++ {
+				t += rng.ExpFloat64() * pl.interArrival
+			}
+			horizon = math.Max(horizon, t)
+		}
 		events := append([]fault.Event(nil), sc.FaultScript...)
-		if chaos != nil {
-			events = append(events, chaos.Events...)
+		if pl.chaos != nil {
+			events = append(events, pl.chaos.Events...)
 		}
 		if sc.MTBF > 0 {
 			st, err := fault.Stochastic(fault.StochasticConfig{
@@ -971,7 +758,7 @@ func runSerial(sc Scenario) (Result, error) {
 					cost := coord.CostOfRepair(moved)
 					ev.Moved = cost.Moved
 					ev.Messages = cost.Total()
-					repairMessages += cost.Total()
+					res.RepairMessages += cost.Total()
 					// Install the repaired stripes so survivors actually
 					// serve the contents they absorbed.
 					for _, s := range survivors {
@@ -992,7 +779,7 @@ func runSerial(sc Scenario) (Result, error) {
 						part.Coordinated = repaired
 					}
 				}
-				repairs = append(repairs, ev)
+				res.Repairs = append(res.Repairs, ev)
 				if sc.Tracer != nil {
 					sc.Tracer.Emit(trace.Event{T: at, Kind: trace.KindRepair, Router: int(dead), N: int64(ev.Moved)})
 				}
@@ -1002,19 +789,8 @@ func runSerial(sc Scenario) (Result, error) {
 			}
 		}
 
-		if chaos != nil {
-			chaosRT, err = installChaos(chaosEnv{
-				eng:      eng,
-				net:      net,
-				det:      det,
-				inj:      inj,
-				coordAsg: coordAsg,
-				localSet: localSet,
-				routers:  routers,
-				sc:       sc,
-				chaos:    chaos,
-				fail:     fail,
-			})
+		if pl.chaos != nil {
+			chaosRT, err = installChaos(chaosEnv{pipeline: pl, eng: eng, det: det, inj: inj, fail: fail})
 			if err != nil {
 				return Result{}, err
 			}
@@ -1026,61 +802,18 @@ func runSerial(sc Scenario) (Result, error) {
 	if runErr != nil {
 		return Result{}, runErr
 	}
-	if measured == 0 {
-		return Result{}, fmt.Errorf("sim: no measured requests completed")
-	}
-	res.Requests = measured
-	res.OriginLoad = float64(counts.Get("origin")) / float64(measured)
-	res.LocalHit = float64(counts.Get("local")) / float64(measured)
-	res.PeerHit = float64(counts.Get("peer")) / float64(measured)
-	res.MeanLatency = latency.Value()
-	res.LatencyP50 = latencyHist.Quantile(0.50)
-	res.LatencyP95 = latencyHist.Quantile(0.95)
-	res.LatencyP99 = latencyHist.Quantile(0.99)
-	res.MeanHops = hops.Value()
-	res.TierLatency = TierLatencies{
-		Local:  tierLat[int(ccn.ServedLocal)].Value(),
-		Peer:   tierLat[int(ccn.ServedPeer)].Value(),
-		Origin: tierLat[int(ccn.ServedOrigin)].Value(),
-	}
-	res.PeerHops = peerHops.Value()
-	if len(peerServes) > 0 {
-		var total, worst int64
-		for _, c := range peerServes {
-			total += c
-			if c > worst {
-				worst = c
-			}
-		}
-		mean := float64(total) / float64(len(peerServes))
-		res.PeerLoadImbalance = float64(worst) / mean
-	}
-	res.InterestTransmissions = net.InterestTransmissions()
-	res.DataTransmissions = net.DataTransmissions()
-	res.DroppedInterests = net.DroppedInterests()
-	res.DroppedData = net.DroppedData()
-	res.Retransmissions = net.Retransmissions()
-	res.MeanQueueingDelay = net.MeanQueueingDelay()
-	res.QueuedPackets = net.QueuedPackets()
-	res.FailedRequests = net.FailedRequests()
-	res.Availability = avail.Value()
-	res.FaultDrops = net.FaultDrops()
-	res.ExpiredInterests = net.ExpiredInterests()
-	res.RouteRecomputes = net.RouteRecomputes()
 	if inj != nil {
 		res.RouterDowntime = downtime.Total(eng.Now())
 	}
 	if det != nil {
 		res.HeartbeatMessages = det.Heartbeats()
 	}
-	res.Repairs = repairs
-	res.RepairMessages = repairMessages
-	if len(repairs) > 0 {
+	if len(res.Repairs) > 0 {
 		var sum float64
-		for _, ev := range repairs {
+		for _, ev := range res.Repairs {
 			sum += ev.DetectedAt - ev.CrashedAt
 		}
-		res.MeanTimeToRepair = sum / float64(len(repairs))
+		res.MeanTimeToRepair = sum / float64(len(res.Repairs))
 	}
 	if outageTotal > 0 {
 		res.OutageOriginLoad = float64(outageOrigin) / float64(outageTotal)
@@ -1106,48 +839,17 @@ func runSerial(sc Scenario) (Result, error) {
 		// Chaos metrics enter the registry (and thus the manifest and
 		// the Prometheus exposition) only on chaos runs, so non-chaos
 		// manifests keep their exact prior byte layout.
+		reg := pl.col.reg
 		reg.Mean("degraded_seconds").Observe(res.DegradedTime / 1000)
 		reg.Counter("stale_placement_hits").Add("total", res.StalePlacementHits)
 		reg.Counter("reconverge_moves").Add("total", res.ReconvergeMoves)
 	}
-	if reportCounts != nil {
-		res.Reports = make([]coord.Report, len(routers))
-		for i, r := range routers {
-			res.Reports[i] = coord.Report{Router: r, Counts: reportCounts[i]}
-		}
-	}
-	if sc.EmitManifest {
-		res.Manifest = buildManifest(sc, res, ManifestEngine{
-			EventsProcessed:     eng.Processed(),
-			PendingPeak:         eng.PendingPeak(),
-			Shards:              1,
-			ShardFallbackReason: sc.shardFallbackReason,
-		}, net, reg, avail.Snapshot())
-	}
-	return res, nil
-}
-
-// arrivalProc is one router's self-rescheduling Poisson arrival process.
-// Exactly one event per process is pending at any time; tick is the
-// single closure the process reschedules, so steady-state arrival
-// scheduling allocates nothing per request.
-type arrivalProc struct {
-	router topology.NodeID
-	gen    workload.Generator
-	rng    *rand.Rand // arrival clock; draws one ExpFloat64 per request
-	tick   func()
-	t      float64 // absolute time of the pending arrival
-	k      int     // requests issued so far
-	nReq   int     // total requests to issue
-	nWarm  int     // leading unmeasured requests
-}
-
-// min64 returns the smaller of a and b.
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
+	return pl.collect(ManifestEngine{
+		EventsProcessed:     eng.Processed(),
+		PendingPeak:         eng.PendingPeak(),
+		Shards:              1,
+		ShardFallbackReason: fallback,
+	})
 }
 
 // probCacheAdmission is the per-router admission probability used by

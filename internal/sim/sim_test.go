@@ -42,6 +42,17 @@ func TestScenarioValidate(t *testing.T) {
 		"negative access":   func(s *Scenario) { s.AccessLatency = -1 },
 		"zero origin":       func(s *Scenario) { s.OriginLatency = 0 },
 		"gateway overflow":  func(s *Scenario) { s.OriginGateway = 99 },
+		// Non-finite timing and rates once passed and produced NaN results
+		// or failed deep inside the run.
+		"NaN inter-arrival":      func(s *Scenario) { s.MeanInterArrival = math.NaN() },
+		"infinite inter-arrival": func(s *Scenario) { s.MeanInterArrival = math.Inf(1) },
+		"negative inter-arrival": func(s *Scenario) { s.MeanInterArrival = -1 },
+		"NaN access":             func(s *Scenario) { s.AccessLatency = math.NaN() },
+		"infinite access":        func(s *Scenario) { s.AccessLatency = math.Inf(1) },
+		"infinite origin":        func(s *Scenario) { s.OriginLatency = math.Inf(1) },
+		"NaN loss rate":          func(s *Scenario) { s.LossRate = math.NaN() },
+		"NaN link rate":          func(s *Scenario) { s.LinkRate = math.NaN() },
+		"infinite link rate":     func(s *Scenario) { s.LinkRate = math.Inf(1) },
 	}
 	for name, mutate := range mutations {
 		t.Run(name, func(t *testing.T) {
