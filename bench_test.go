@@ -331,13 +331,14 @@ func BenchmarkSimulationThroughput(b *testing.B) {
 	b.ReportMetric(float64(sc.Requests), "requests/op")
 }
 
-// benchAPSPSink prevents dead-code elimination of shortest-path runs.
-var benchAPSPSink *topology.APSP
+// benchAPSPSink prevents dead-code elimination of routing solves.
+var benchAPSPSink float64
 
-// BenchmarkAPSP measures one full all-pairs shortest-path recompute per
+// BenchmarkAPSP measures one cold full solve of the routing table per
 // evaluation topology. ScaleLatencies(1) leaves every latency unchanged
-// but bumps the graph's cache generation, so each iteration pays the
-// real solve rather than a cache hit.
+// but bumps the graph's generation, so each iteration builds a fresh
+// table and its diameter sweep solves every tree rather than reading a
+// cached one.
 func BenchmarkAPSP(b *testing.B) {
 	for _, g := range topology.All() {
 		b.Run(g.Name(), func(b *testing.B) {
@@ -346,7 +347,7 @@ func BenchmarkAPSP(b *testing.B) {
 				if err := g.ScaleLatencies(1); err != nil {
 					b.Fatal(err)
 				}
-				benchAPSPSink = g.ShortestPathsLatency()
+				benchAPSPSink = g.ShortestPathsLatency().MaxDist()
 			}
 		})
 	}
@@ -357,13 +358,14 @@ var benchRoutingSink float64
 
 // BenchmarkRoutingScale is the scalable-routing n-sweep: hierarchical
 // topologies of 10² to 10⁵ routers answering a mixed Dist/PathTree
-// query stream. The dense variant pays one full APSP precompute per op
-// (the O(n²) wall this sweep tracks); the LRU variants warm a bounded
-// working set of shortest-path trees and answer from the cache — no
-// dense matrix is ever materialized, and the op fails if the live heap
-// exceeds the 2 GB budget. One op = backend build + warmup + the full
-// query stream, so ns/op tracks precompute and query cost together;
-// misses/op counts the Dijkstras actually run.
+// query stream. The Dense variant (named for the all-pairs matrix it
+// once timed) pays one cold full solve of the table per op, all n
+// trees — the O(n²) wall this sweep tracks; the LRU variants warm a
+// bounded working set of shortest-path trees and answer from the cache,
+// and the op fails if the live heap exceeds the 2 GB budget. One op =
+// table build + warmup + the full query stream, so ns/op tracks
+// precompute and query cost together; misses/op counts the Dijkstras
+// actually run.
 func BenchmarkRoutingScale(b *testing.B) {
 	build := func(levels int) *topology.Graph { return buildHierGraph(b, levels) }
 	// workingSet draws the seeded source pool the LRU cache is sized
@@ -386,8 +388,8 @@ func BenchmarkRoutingScale(b *testing.B) {
 		return out
 	}
 	// queryStream runs the mixed workload: mostly Dist, every 64th a
-	// PathTree (the single-tree path read the LRU is sized for).
-	queryStream := func(b *testing.B, p topology.PathProvider, sources []topology.NodeID, queries int) {
+	// PathTree (the single-tree path read a bounded table is sized for).
+	queryStream := func(b *testing.B, p *topology.LRUPaths, sources []topology.NodeID, queries int) {
 		b.Helper()
 		rng := rand.New(rand.NewSource(11))
 		n := p.N()
@@ -396,13 +398,7 @@ func BenchmarkRoutingScale(b *testing.B) {
 			src := sources[rng.Intn(len(sources))]
 			dst := topology.NodeID(rng.Intn(n))
 			if q%64 == 0 {
-				var path []topology.NodeID
-				var err error
-				if lru, ok := p.(*topology.LRUPaths); ok {
-					path, err = lru.PathTree(src, dst)
-				} else {
-					path, err = p.Path(src, dst)
-				}
+				path, err := p.PathTree(src, dst)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -432,12 +428,15 @@ func BenchmarkRoutingScale(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			// ScaleLatencies(1) bumps the cache generation, so every op
-			// pays the real O(n²) precompute.
+			// ScaleLatencies(1) bumps the graph's generation, so every op
+			// pays a cold full solve of the table: the sweep solves all n
+			// trees before the queries read them.
 			if err := g.ScaleLatencies(1); err != nil {
 				b.Fatal(err)
 			}
-			queryStream(b, g.ShortestPathsLatency(), sources, 10*g.N())
+			routes := g.ShortestPathsLatency()
+			routes.MaxDist()
+			queryStream(b, routes, sources, 10*g.N())
 		}
 		b.ReportMetric(checkHeap(b), "heapMB")
 	})

@@ -14,6 +14,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -54,8 +55,7 @@ func main() {
 		chaosSpec   = flag.String("chaos", "", "chaos scenario: a JSON file path or a preset name (see -chaos list)")
 		chaosCkpt   = flag.String("chaos-checkpoint", "", "save a coordinator checkpoint here at each chaos coordinator crash and restore it at the restart")
 		staleness   = flag.Float64("staleness", 0, "staleness bound (ms) before a coordination outage degrades the data plane; 0 selects the default")
-		routing     = flag.String("routing", "auto", "shortest-path backend: auto (dense below the threshold, lru above), dense, or lru")
-		shardsFlag  = flag.String("shards", "auto", "event-loop shards: auto (serial below the dense threshold), 1 (serial), or N; results are identical at any setting")
+		shardsFlag  = flag.String("shards", "auto", "event-loop shards: auto (serial below 1024 routers), 1 (serial), or N; results are identical at any setting")
 		httpAddr    = flag.String("http", "", "serve run progress, metrics and pprof on this address for the duration of the run")
 		tracePath   = flag.String("trace", "", "write a JSONL event trace to this file (.gz compresses; see internal/trace)")
 		traceSample = flag.Float64("trace-sample", 1, "trace sample rate in (0,1]: 0.01 keeps every 100th request lifecycle")
@@ -66,11 +66,6 @@ func main() {
 	)
 	flag.Parse()
 
-	backend, err := topology.ParseBackend(*routing)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ccnsim:", err)
-		os.Exit(1)
-	}
 	shards, err := parseShards(*shardsFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ccnsim:", err)
@@ -105,7 +100,7 @@ func main() {
 		if *manifest != "" {
 			err = fmt.Errorf("-manifest applies to single runs, not -adaptive")
 		} else {
-			err = runAdaptive(*topoName, *catalog, *s, *capacity, *requests, *seed, *access, *origin, *gateway, *adaptive, backend, obsf)
+			err = runAdaptive(*topoName, *catalog, *s, *capacity, *requests, *seed, *access, *origin, *gateway, *adaptive, obsf)
 		}
 	} else if *chaosSpec == "list" {
 		for _, name := range fault.ChaosPresets() {
@@ -113,7 +108,7 @@ func main() {
 		}
 	} else {
 		err = run(*topoName, *policy, *catalog, *s, *capacity, *x, *requests, *warmup, *seed, *access, *origin, *gateway, *loss, *retx,
-			*mtbf, *mttr, *faultSeed, *failSpec, chaosOpts{spec: *chaosSpec, checkpoint: *chaosCkpt, staleness: *staleness}, backend, shards, obsf)
+			*mtbf, *mttr, *faultSeed, *failSpec, chaosOpts{spec: *chaosSpec, checkpoint: *chaosCkpt, staleness: *staleness}, shards, obsf)
 	}
 	if err == nil {
 		err = stopProf()
@@ -205,7 +200,7 @@ func (o obsFlags) writeManifest(m *sim.RunManifest) error {
 // runAdaptive drives the closed adaptive loop and prints one row per
 // epoch.
 func runAdaptive(topoName string, catalog int64, s float64, capacity int64,
-	requests int, seed int64, access, origin float64, gateway, epochs int, routing topology.Backend, obs obsFlags) error {
+	requests int, seed int64, access, origin float64, gateway, epochs int, obs obsFlags) error {
 	g, err := findTopology(topoName)
 	if err != nil {
 		return err
@@ -224,7 +219,6 @@ func runAdaptive(topoName string, catalog int64, s float64, capacity int64,
 		AccessLatency: access,
 		OriginLatency: origin,
 		OriginGateway: topology.NodeID(gateway),
-		Routing:       routing,
 		Tracer:        tr,
 	}
 	base := model.Config{
@@ -313,6 +307,9 @@ func parseFailSpec(spec string, n int) ([]fault.Event, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fail spec %q: bad start time: %v", part, err)
 		}
+		if math.IsNaN(start) || math.IsInf(start, 0) {
+			return nil, fmt.Errorf("fail spec %q: start time %v is not finite", part, start)
+		}
 		if start < 0 {
 			return nil, fmt.Errorf("fail spec %q: negative start time %v", part, start)
 		}
@@ -321,6 +318,9 @@ func parseFailSpec(spec string, n int) ([]fault.Event, error) {
 			end, err := strconv.ParseFloat(window[1], 64)
 			if err != nil {
 				return nil, fmt.Errorf("fail spec %q: bad end time: %v", part, err)
+			}
+			if math.IsNaN(end) || math.IsInf(end, 0) {
+				return nil, fmt.Errorf("fail spec %q: end time %v is not finite", part, end)
 			}
 			if end <= start {
 				return nil, fmt.Errorf("fail spec %q: end %v not after start %v", part, end, start)
@@ -352,7 +352,7 @@ func (c chaosOpts) load() (*fault.ChaosScenario, error) {
 
 func run(topoName, policy string, catalog int64, s float64, capacity, x int64,
 	requests, warmup int, seed int64, access, origin float64, gateway int, loss, retx float64,
-	mtbf, mttr float64, faultSeed int64, failSpec string, chaosf chaosOpts, routing topology.Backend, shards int, obs obsFlags) error {
+	mtbf, mttr float64, faultSeed int64, failSpec string, chaosf chaosOpts, shards int, obs obsFlags) error {
 	g, err := findTopology(topoName)
 	if err != nil {
 		return err
@@ -369,10 +369,10 @@ func run(topoName, policy string, catalog int64, s float64, capacity, x int64,
 		return fmt.Errorf("-chaos-checkpoint and -staleness require -chaos")
 	}
 	switch {
-	case mtbf < 0:
-		return fmt.Errorf("-mtbf must be non-negative, got %v", mtbf)
-	case mttr < 0:
-		return fmt.Errorf("-mttr must be non-negative, got %v", mttr)
+	case !(mtbf >= 0) || math.IsInf(mtbf, 1):
+		return fmt.Errorf("-mtbf must be finite and non-negative, got %v", mtbf)
+	case !(mttr >= 0) || math.IsInf(mttr, 1):
+		return fmt.Errorf("-mttr must be finite and non-negative, got %v", mttr)
 	case (mtbf > 0) != (mttr > 0):
 		return fmt.Errorf("-mtbf and -mttr must be set together")
 	}
@@ -406,7 +406,6 @@ func run(topoName, policy string, catalog int64, s float64, capacity, x int64,
 		Chaos:          chaos,
 		StalenessBound: chaosf.staleness,
 		CheckpointPath: chaosf.checkpoint,
-		Routing:        routing,
 		Tracer:         tr,
 		EmitManifest:   obs.manifestPath != "" || obs.progress != nil || obs.telemetry,
 		Shards:         shards,

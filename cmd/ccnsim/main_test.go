@@ -1,11 +1,10 @@
 package main
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
-
-	"ccncoord/internal/topology"
 )
 
 func TestParsePolicy(t *testing.T) {
@@ -64,6 +63,11 @@ func TestParseFailSpec(t *testing.T) {
 		"3@500-400",  // end before start
 		"3@500-500",  // empty window
 		"3@500-oops", // bad end time
+		"3@NaN-200",  // NaN start
+		"3@100-NaN",  // NaN end
+		"3@Inf",      // a crash that never fires
+		"3@-Inf-200", // infinite start
+		"3@100-Inf",  // infinite end
 	}
 	for _, in := range invalid {
 		if _, err := parseFailSpec(in, n); err == nil {
@@ -84,12 +88,14 @@ func TestRunRejectsBadFaultConfig(t *testing.T) {
 		{"negative mttr", 100, -1, ""},
 		{"mtbf without mttr", 100, 0, ""},
 		{"mttr without mtbf", 0, 100, ""},
+		{"NaN mtbf", math.NaN(), 100, ""},
+		{"infinite mttr", 100, math.Inf(1), ""},
 		{"fail on unknown node", 0, 0, "999@100"},
 		{"malformed fail spec", 0, 0, "1:100"},
 	}
 	for _, tc := range cases {
 		err := run("Abilene", "coordinated", 1000, 0.8, 50, 25, 10, 0, 1, 5, 60, -1, 0, 300,
-			tc.mtbf, tc.mttr, 1, tc.fail, chaosOpts{}, topology.BackendAuto, 0, obsFlags{})
+			tc.mtbf, tc.mttr, 1, tc.fail, chaosOpts{}, 0, obsFlags{})
 		if err == nil {
 			t.Errorf("%s: run accepted the config, want error", tc.name)
 		}
@@ -155,7 +161,7 @@ func TestRunRejectsChaosFlagMisuse(t *testing.T) {
 	}
 	for _, tc := range cases {
 		err := run("Abilene", "coordinated", 1000, 0.8, 50, 25, 10, 0, 1, 5, 60, -1, 0, 300,
-			0, 0, 1, "", tc.chaosf, topology.BackendAuto, 0, obsFlags{})
+			0, 0, 1, "", tc.chaosf, 0, obsFlags{})
 		if err == nil {
 			t.Errorf("%s: run accepted the config, want error", tc.name)
 		}

@@ -184,19 +184,6 @@ type Options struct {
 	// link; interests are treated as negligibly small, as in CCN.
 	// Zero means infinite capacity (no queueing).
 	LinkRate float64
-
-	// Routing selects the shortest-path backend the data plane forwards
-	// with (see topology.PathProvider). The zero value, BackendAuto,
-	// keeps the dense matrix below topology.DenseAutoThreshold nodes —
-	// bit-identical to all prior behavior on the calibrated datasets —
-	// and switches to the LRU tree cache above it, where a dense matrix
-	// would be quadratic in memory. Either backend is owned by the graph
-	// and shared by every network built on it. A fault-aware plane
-	// (Options.Faults) routes around outages with topology.LRUPaths
-	// whatever the backend: its first fault event swaps the shared
-	// backend for a private LRU table over the same graph, which below
-	// the threshold holds every tree.
-	Routing topology.Backend
 }
 
 // originNeighbor marks the origin uplink in forwarding decisions.
@@ -302,7 +289,7 @@ type txShard struct {
 type Network struct {
 	eng   *des.Engine
 	graph *topology.Graph
-	lat   topology.PathProvider
+	lat   *topology.LRUPaths
 	nodes []*node
 	cat   *catalog.Catalog
 	opts  Options
@@ -424,13 +411,9 @@ func buildNetwork(g *topology.Graph, cat *catalog.Catalog, opts Options) (*Netwo
 	if opts.OriginFallbackRetries == 0 {
 		opts.OriginFallbackRetries = DefaultOriginFallbackRetries
 	}
-	routes, err := topology.NewPathProvider(g, opts.Routing)
-	if err != nil {
-		return nil, fmt.Errorf("ccn: %w", err)
-	}
 	n := &Network{
 		graph:        g,
-		lat:          routes,
+		lat:          g.ShortestPathsLatency(),
 		cat:          cat,
 		opts:         opts,
 		originRouter: -1,
@@ -495,11 +478,11 @@ func (n *Network) Store(id topology.NodeID) (cache.Store, error) {
 	return n.nodes[id].cs, nil
 }
 
-// Routes returns the routing backend the data plane is forwarding
-// with: the backend Options.Routing selected, or, once a fault event
-// has occurred, the fault-aware LRU table. Treat the result as
-// read-only shared state.
-func (n *Network) Routes() topology.PathProvider { return n.lat }
+// Routes returns the routing table the data plane is forwarding with:
+// the graph's shared table, or, once a fault event has occurred, the
+// plane's private fault-aware table. Treat the result as read-only
+// shared state.
+func (n *Network) Routes() *topology.LRUPaths { return n.lat }
 
 // InterestTransmissions returns the total number of interest packet
 // transmissions over network links so far, summed across shards.
@@ -734,8 +717,8 @@ func (n *Network) crashedRouter(r topology.NodeID) bool {
 }
 
 // faultTable returns the fault-aware routing table, attaching it on the
-// first fault event: a private LRU table over the same graph, in place
-// of the backend the graph shares with every other run. Each event then
+// first fault event: a private table over the same graph, in place of
+// the table the graph shares with every other run. Each event then
 // evicts only the shortest-path trees it changes. Down links and every
 // link incident to a crashed router are excluded from routing,
 // modeling an instantly converged routing plane (the data plane's

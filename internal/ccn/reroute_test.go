@@ -37,7 +37,7 @@ func TestIncrementalReroutingMatchesFullRecompute(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fullRecompute := func() *topology.APSP {
+	fullRecompute := func() *topology.LRUPaths {
 		alive := g.Clone()
 		for _, e := range g.EdgeList() {
 			if net.crashedRouter(e.A) || net.crashedRouter(e.B) || net.linkDown(e.A, e.B) {

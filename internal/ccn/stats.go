@@ -119,10 +119,6 @@ func (n *Network) FailLink(a, b topology.NodeID) error {
 		n.lat = n.faultRoutes
 		return nil
 	}
-	routes, err := topology.NewPathProvider(trial, n.opts.Routing)
-	if err != nil {
-		return fmt.Errorf("ccn: failing link %d-%d: %w", a, b, err)
-	}
-	n.lat = routes
+	n.lat = trial.ShortestPathsLatency()
 	return nil
 }

@@ -11,6 +11,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -87,6 +88,9 @@ func (s *Schedule) Len() int { return len(s.events) }
 func Scripted(events ...Event) (*Schedule, error) {
 	out := append([]Event(nil), events...)
 	for _, e := range out {
+		if math.IsNaN(e.At) || math.IsInf(e.At, 0) {
+			return nil, fmt.Errorf("fault: event time %v is not finite", e.At)
+		}
 		if e.At < 0 {
 			return nil, fmt.Errorf("fault: negative event time %v", e.At)
 		}

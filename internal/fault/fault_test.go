@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -22,6 +23,23 @@ func (f *fakeTarget) SetRouterState(r topology.NodeID, up bool) error {
 func (f *fakeTarget) SetLinkState(a, b topology.NodeID, up bool) error {
 	f.log = append(f.log, fmt.Sprintf("l%d-%d:%t", a, b, up))
 	return nil
+}
+
+// TestScriptedRejectsNonFiniteTimes: a NaN time once passed (NaN < 0
+// is false), broke the schedule's sort, and failed later inside the
+// engine; an infinite time scheduled a fault that never fires.
+func TestScriptedRejectsNonFiniteTimes(t *testing.T) {
+	for _, at := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := Scripted(
+			Event{At: 10, Kind: RouterDown, Node: 1},
+			Event{At: at, Kind: RouterUp, Node: 1},
+		); err == nil {
+			t.Errorf("event time %v accepted", at)
+		}
+		if _, err := Scripted(Event{At: at, Kind: LinkDown, A: 0, B: 1}); err == nil {
+			t.Errorf("link event time %v accepted", at)
+		}
+	}
 }
 
 func TestScriptedValidation(t *testing.T) {

@@ -99,10 +99,10 @@ func build(sc Scenario, newNet func(*catalog.Catalog, ccn.Options) (*ccn.Network
 	// widens it for retransmission delays. Samples past the headroom
 	// (deep retry backoff) land in the histogram's overflow counter and
 	// saturate quantile estimates at the range edge instead of skewing
-	// them. net.Routes() is the routing backend the plane forwards with:
+	// them. net.Routes() is the routing table the plane forwards with:
 	// its diameter sweep solves the routing trees in parallel, before any
-	// engine starts, so the request path does not solve them one at a
-	// time under the table's lock.
+	// engine starts, so the request path reads published trees without
+	// a lock instead of solving them one at a time under it.
 	maxRTT := 2 * (sc.AccessLatency + 2*pl.net.Routes().MaxDist() + sc.OriginLatency) * rttHeadroom
 	if pl.col, err = newCollector(sc, maxRTT); err != nil {
 		return nil, err

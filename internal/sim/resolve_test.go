@@ -115,7 +115,7 @@ func TestResolveShardsReasonTable(t *testing.T) {
 }
 
 // TestResolveShardsAutoThresholdBoundary pins the auto rule exactly at
-// the dense-auto threshold: one router below stays serial, at the
+// the auto-shard threshold: one router below stays serial, at the
 // threshold the rule engages (bounded by GOMAXPROCS and the auto cap).
 func TestResolveShardsAutoThresholdBoundary(t *testing.T) {
 	build := func(n int) Scenario {

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"reflect"
 	"sync"
 	"testing"
@@ -10,85 +9,9 @@ import (
 	"ccncoord/internal/topology"
 )
 
-// TestRunDenseVsLRUByteIdentical runs one scenario under the dense and
-// LRU routing backends and requires identical results down to the
-// serialized manifest bytes: the data plane only consults Next, which
-// the LRU backend answers bit-identically.
-func TestRunDenseVsLRUByteIdentical(t *testing.T) {
-	results := make([]Result, 0, 2)
-	manifests := make([][]byte, 0, 2)
-	for _, b := range []topology.Backend{topology.BackendDense, topology.BackendLRU} {
-		sc := testScenario()
-		sc.Requests = 8000
-		sc.Routing = b
-		sc.EmitManifest = true
-		res, err := Run(sc)
-		if err != nil {
-			t.Fatalf("%v backend: %v", b, err)
-		}
-		var buf bytes.Buffer
-		if err := res.Manifest.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		manifests = append(manifests, buf.Bytes())
-		res.Manifest = nil
-		results = append(results, res)
-	}
-	if !reflect.DeepEqual(results[0], results[1]) {
-		t.Errorf("dense and LRU results differ:\ndense: %+v\nlru:   %+v", results[0], results[1])
-	}
-	if !bytes.Equal(manifests[0], manifests[1]) {
-		t.Error("dense and LRU run manifests are not byte-identical")
-	}
-}
-
-// TestRunFaultsDenseVsLRUByteIdentical runs a failure scenario —
-// scripted router and link outages plus stochastic MTBF/MTTR faults —
-// under the dense and LRU routing backends and requires identical
-// results and manifest bytes: either way the fault-aware plane reroutes
-// with the same LRU table.
-func TestRunFaultsDenseVsLRUByteIdentical(t *testing.T) {
-	e := topology.USA().EdgeList()[5]
-	results := make([]Result, 0, 2)
-	manifests := make([][]byte, 0, 2)
-	for _, b := range []topology.Backend{topology.BackendDense, topology.BackendLRU} {
-		sc := testScenario()
-		sc.Requests = 8000
-		sc.Routing = b
-		sc.EmitManifest = true
-		sc.RetxTimeout = 150
-		sc.FaultScript = []fault.Event{
-			{At: 50, Kind: fault.RouterDown, Node: 3},
-			{At: 100, Kind: fault.LinkDown, A: e.A, B: e.B},
-			{At: 250, Kind: fault.RouterUp, Node: 3},
-			{At: 300, Kind: fault.LinkUp, A: e.A, B: e.B},
-		}
-		sc.MTBF, sc.MTTR, sc.FaultSeed = 200, 80, 3
-		res, err := Run(sc)
-		if err != nil {
-			t.Fatalf("%v backend: %v", b, err)
-		}
-		if res.RouteRecomputes < 4 {
-			t.Fatalf("%v backend: %d route recomputes, want the scripted faults at least", b, res.RouteRecomputes)
-		}
-		var buf bytes.Buffer
-		if err := res.Manifest.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		manifests = append(manifests, buf.Bytes())
-		res.Manifest = nil
-		results = append(results, res)
-	}
-	if !reflect.DeepEqual(results[0], results[1]) {
-		t.Errorf("dense and LRU fault results differ:\ndense: %+v\nlru:   %+v", results[0], results[1])
-	}
-	if !bytes.Equal(manifests[0], manifests[1]) {
-		t.Error("dense and LRU fault-run manifests are not byte-identical")
-	}
-}
-
-// largeHierarchy returns a generated hierarchy above the dense
-// threshold, so routing left on auto selects the LRU backend.
+// largeHierarchy returns a generated hierarchy above the auto-shard
+// threshold, where the routing trees are solved by the parallel
+// diameter sweep.
 func largeHierarchy(t *testing.T) *topology.Graph {
 	t.Helper()
 	levels, err := topology.ParseHierSpec("4,8,40", "20,5,1", "1,1,0")
@@ -115,8 +38,8 @@ var hierFaultScript = []fault.Event{
 }
 
 // TestFaultsOnLargeHierarchy runs a short fault scenario on a generated
-// hierarchy above the dense threshold with routing left on auto, so the
-// plane routes with the LRU backend from the start.
+// hierarchy above the auto-shard threshold: the faults pin the run to
+// the serial engine, and the plane reroutes with its private table.
 func TestFaultsOnLargeHierarchy(t *testing.T) {
 	g := largeHierarchy(t)
 	sc := testScenario()
@@ -125,7 +48,7 @@ func TestFaultsOnLargeHierarchy(t *testing.T) {
 	sc.RetxTimeout = 150
 	sc.FaultScript = hierFaultScript
 	if err := sc.Validate(); err != nil {
-		t.Fatalf("fault scenario on %d routers with auto routing rejected: %v", g.N(), err)
+		t.Fatalf("fault scenario on %d routers rejected: %v", g.N(), err)
 	}
 	res, err := Run(sc)
 	if err != nil {
@@ -143,14 +66,14 @@ func TestFaultsOnLargeHierarchy(t *testing.T) {
 }
 
 // TestRunsShareRoutingTrees runs one scenario twice on a hierarchy above
-// the dense threshold, with a fault run on the same graph in between.
+// the auto-shard threshold, with a fault run on the same graph in between.
 // The graph's shared tree table solves every tree exactly once, in the
 // first run's set-up diameter sweep; the later runs solve none, the
 // fault run's outages stay in its private table, and the two fault-free
 // runs agree exactly.
 func TestRunsShareRoutingTrees(t *testing.T) {
 	g := largeHierarchy(t)
-	shared := g.ShortestPathTrees()
+	shared := g.ShortestPathsLatency()
 	sc := testScenario()
 	sc.Topology = g
 	sc.Requests = 4000
@@ -173,7 +96,7 @@ func TestRunsShareRoutingTrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.ShortestPathTrees() != shared {
+	if g.ShortestPathsLatency() != shared {
 		t.Fatal("the graph's tree table was replaced between runs")
 	}
 	if _, after, _ := shared.Stats(); after != solved {
@@ -184,19 +107,23 @@ func TestRunsShareRoutingTrees(t *testing.T) {
 	}
 }
 
-// TestConcurrentRunsShareTrees runs one LRU-routed scenario from several
+// TestConcurrentRunsShareTrees runs one scenario from several
 // goroutines at once on one graph, so they query and fill the graph's
 // shared table concurrently; every run must equal the serial reference.
 func TestConcurrentRunsShareTrees(t *testing.T) {
 	sc := testScenario()
 	sc.Topology = topology.USA()
 	sc.Requests = 3000
-	sc.Routing = topology.BackendLRU
 	ref, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// ScaleLatencies(1) changes no latency but bumps the generation, so
+	// the runs share a cold table instead of the dataset's solved one.
 	sc.Topology = topology.USA()
+	if err := sc.Topology.ScaleLatencies(1); err != nil {
+		t.Fatal(err)
+	}
 	results := make([]Result, 4)
 	errs := make([]error, len(results))
 	var wg sync.WaitGroup

@@ -122,7 +122,7 @@ func TestRunShardedMatchesSerial(t *testing.T) {
 }
 
 // TestResolveShards pins the shard-count resolution rules: explicit
-// counts honored and clamped, the auto rule's dense threshold, and the
+// counts honored and clamped, the auto rule's threshold, and the
 // serial fallback for every non-shardable feature.
 func TestResolveShards(t *testing.T) {
 	base := testScenario()
@@ -140,7 +140,7 @@ func TestResolveShards(t *testing.T) {
 		t.Errorf("oversized request resolved to %d shards, want clamp to %d routers", got, base.Topology.N())
 	}
 
-	// Above the dense threshold the auto rule engages.
+	// At or above the threshold the auto rule engages.
 	levels, err := topology.ParseHierSpec("4,8,40", "20,5,1", "1,1,0")
 	if err != nil {
 		t.Fatal(err)

@@ -157,17 +157,6 @@ type Scenario struct {
 	// millisecond; zero means infinite (no queueing). See internal/ccn.
 	LinkRate float64
 
-	// Routing selects the shortest-path backend the data plane forwards
-	// with (see topology.PathProvider and ccn.Options.Routing). The
-	// zero value, topology.BackendAuto, keeps the dense matrix below
-	// topology.DenseAutoThreshold nodes — every calibrated-dataset run
-	// stays byte-identical — and switches to the LRU tree cache on
-	// larger generated graphs. Either backend belongs to Topology, so
-	// every run on one graph shares its routing. Fault scenarios run on
-	// any backend: the data plane reroutes around outages with a private
-	// LRU tree cache.
-	Routing topology.Backend
-
 	// WorkloadFactory, when non-nil, supplies each router's request
 	// generator instead of the default stationary Zipf(ZipfS) stream —
 	// e.g. a workload.DriftingZipf for non-stationary demand. The
@@ -303,7 +292,6 @@ func (s Scenario) netOptions() ccn.Options {
 		LinkRate:         s.LinkRate,
 		Faults:           s.faultsEnabled(),
 		Tracer:           s.Tracer,
-		Routing:          s.Routing,
 	}
 }
 
@@ -349,20 +337,20 @@ func (s Scenario) Validate() error {
 		return fmt.Errorf("sim: lossy fabric requires a positive retransmission timeout")
 	case !finite(s.LinkRate) || s.LinkRate < 0:
 		return fmt.Errorf("sim: link rate must be finite and non-negative, got %v", s.LinkRate)
-	case s.MTBF < 0:
-		return fmt.Errorf("sim: negative MTBF %v", s.MTBF)
-	case s.MTTR < 0:
-		return fmt.Errorf("sim: negative MTTR %v", s.MTTR)
+	case !finite(s.MTBF) || s.MTBF < 0:
+		return fmt.Errorf("sim: MTBF must be finite and non-negative, got %v", s.MTBF)
+	case !finite(s.MTTR) || s.MTTR < 0:
+		return fmt.Errorf("sim: MTTR must be finite and non-negative, got %v", s.MTTR)
 	case (s.MTBF > 0) != (s.MTTR > 0):
 		return fmt.Errorf("sim: MTBF and MTTR must be set together")
 	case s.faultsEnabled() && !(s.RetxTimeout > 0):
 		return fmt.Errorf("sim: fault injection requires a positive retransmission timeout")
-	case s.HeartbeatInterval < 0:
-		return fmt.Errorf("sim: negative heartbeat interval %v", s.HeartbeatInterval)
+	case !finite(s.HeartbeatInterval) || s.HeartbeatInterval < 0:
+		return fmt.Errorf("sim: heartbeat interval must be finite and non-negative, got %v", s.HeartbeatInterval)
 	case s.HeartbeatMisses < 0:
 		return fmt.Errorf("sim: negative heartbeat miss threshold %d", s.HeartbeatMisses)
-	case s.StalenessBound < 0:
-		return fmt.Errorf("sim: negative staleness bound %v", s.StalenessBound)
+	case !finite(s.StalenessBound) || s.StalenessBound < 0:
+		return fmt.Errorf("sim: staleness bound must be finite and non-negative, got %v", s.StalenessBound)
 	case s.Shards < 0:
 		return fmt.Errorf("sim: negative shard count %d", s.Shards)
 	}

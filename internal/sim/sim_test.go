@@ -53,6 +53,10 @@ func TestScenarioValidate(t *testing.T) {
 		"NaN loss rate":          func(s *Scenario) { s.LossRate = math.NaN() },
 		"NaN link rate":          func(s *Scenario) { s.LinkRate = math.NaN() },
 		"infinite link rate":     func(s *Scenario) { s.LinkRate = math.Inf(1) },
+		"NaN MTBF":               func(s *Scenario) { s.MTBF, s.MTTR, s.RetxTimeout = math.NaN(), 10, 200 },
+		"infinite MTTR":          func(s *Scenario) { s.MTBF, s.MTTR, s.RetxTimeout = 100, math.Inf(1), 200 },
+		"NaN staleness bound":    func(s *Scenario) { s.StalenessBound = math.NaN() },
+		"infinite heartbeat":     func(s *Scenario) { s.HeartbeatInterval = math.Inf(1) },
 	}
 	for name, mutate := range mutations {
 		t.Run(name, func(t *testing.T) {

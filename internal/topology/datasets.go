@@ -133,7 +133,7 @@ func buildSynth(spec synthSpec) *Graph {
 	var bestSeed int64
 	bestErr := math.Inf(1)
 	// The search scores candidates by mean pairwise hop count, which BFS
-	// computes with reusable scratch instead of a full Dijkstra APSP per
+	// computes with reusable scratch instead of a Dijkstra per source and
 	// candidate (unit weights make the distances identical, and integer
 	// sums are exact in float64, so the selected seed is unchanged). One
 	// rand source serves every trial — Seed fully resets it, yielding the

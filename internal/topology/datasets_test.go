@@ -51,9 +51,25 @@ func TestDatasetsMatchTable3(t *testing.T) {
 // paper's 2.4182 mean hop count to all published digits, which pins down
 // both the topology map and the distinct-pairs averaging convention.
 func TestAbileneHopMeanExact(t *testing.T) {
-	got := Abilene().ShortestPathsHops().MeanDist(false)
+	got := Abilene().hopAPSP().MeanDist(false)
 	if math.Abs(got-2.4182) > 0.0001 {
 		t.Errorf("Abilene mean hops = %v, want 2.4182", got)
+	}
+}
+
+// TestExtractParamsHopMeanMatchesOracle: Table III's hop mean comes
+// from the breadth-first pass, with no hop matrix; it must equal the
+// unit-weight oracle's mean exactly, on the four datasets (the ≤ 64-node
+// bit-parallel pass) and on a larger hierarchy (the queue pass).
+func TestExtractParamsHopMeanMatchesOracle(t *testing.T) {
+	for _, g := range append(All(), midHierarchy(t)) {
+		p, err := ExtractParams(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := g.hopAPSP().MeanDist(false); p.TierGapHops != want {
+			t.Errorf("%s (%d routers): hop mean %v, oracle %v", g.Name(), g.N(), p.TierGapHops, want)
+		}
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 
 // refAlive computes the reference routing state of a faulted graph from
 // scratch: clone the base graph, remove every down link and every link
-// incident to a down node, and solve all-pairs shortest paths.
+// incident to a down node, and solve the oracle.
 func refAlive(t *testing.T, g *Graph, nodeDown map[NodeID]bool, linkDown map[[2]NodeID]bool) *APSP {
 	t.Helper()
 	alive := g.Clone()
@@ -20,7 +20,7 @@ func refAlive(t *testing.T, g *Graph, nodeDown map[NodeID]bool, linkDown map[[2]
 			}
 		}
 	}
-	return alive.ShortestPathsLatency()
+	return alive.apsp()
 }
 
 // checkLRUMatches queries every source of l in the given order and
@@ -132,8 +132,8 @@ func TestLRUFaultsMatchFullRecompute(t *testing.T) {
 					t.Fatal("down set not cleared after the last repair")
 				}
 				check("restored")
-				if got, want := l.MaxDist(), g.ShortestPathsLatency().MaxDist(); got != want {
-					t.Fatalf("restored MaxDist = %v, dense %v", got, want)
+				if got, want := l.MaxDist(), g.apsp().MaxDist(); got != want {
+					t.Fatalf("restored MaxDist = %v, oracle %v", got, want)
 				}
 			})
 		}
@@ -152,8 +152,8 @@ func TestLRULinkDownEvictsOnlyUsers(t *testing.T) {
 		}
 		for _, e := range g.EdgeList() {
 			users := 0
-			for _, tr := range l.trees {
-				if tr != nil && (NodeID(tr.parent[e.B]) == e.A || NodeID(tr.parent[e.A]) == e.B) {
+			for i := range l.trees {
+				if tr := l.trees[i].Load(); tr != nil && (NodeID(tr.parent[e.B]) == e.A || NodeID(tr.parent[e.A]) == e.B) {
 					users++
 				}
 			}

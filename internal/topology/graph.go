@@ -1,6 +1,6 @@
 // Package topology provides the network-topology substrate of the
 // evaluation: an undirected weighted graph with latency-annotated links,
-// all-pairs shortest paths by latency and by hop count, extraction of the
+// one shortest-path routing table per graph (LRUPaths), extraction of the
 // paper's topological parameters (Table III), deterministic random
 // generators for network-size sweeps, and the four evaluation datasets
 // (Abilene, CERNET, GEANT, US-A) of Table II.
@@ -55,65 +55,36 @@ type Graph struct {
 	measured [][]float64
 
 	// gen stamps the graph's mutation generation: every mutator bumps
-	// it, invalidating the cached routing tables below. Clones inherit
-	// the cache (they are structurally identical until mutated), so
-	// handing out dataset copies does not re-run APSP, and every run on
-	// one graph shares its shortest-path trees. The cache mutex
-	// serializes lazy fills and cache reads; mutators themselves require
-	// external synchronization, as does all Graph mutation.
+	// it, invalidating the cached routing table below. Clones inherit
+	// the table (they are structurally identical until mutated), so
+	// handing out dataset copies does not re-solve routing, and every
+	// run on one graph shares its shortest-path trees. The cache mutex
+	// serializes the lazy build; mutators themselves require external
+	// synchronization, as does all Graph mutation.
 	gen     uint64
 	cacheMu sync.Mutex
-	latSP   *APSP
-	latGen  uint64
-	hopSP   *APSP
-	hopGen  uint64
 	trees   *LRUPaths
 	treeGen uint64
 }
 
-// bump invalidates the cached shortest-path matrices after a mutation.
+// bump invalidates the cached routing table after a mutation.
 func (g *Graph) bump() { g.gen++ }
 
 // Generation returns the graph's mutation generation; mutators
-// increment it, and cached APSP results are valid only for the
-// generation they were computed at.
+// increment it, and cached routing trees are valid only for the
+// generation they were solved at.
 func (g *Graph) Generation() uint64 { return g.gen }
 
-// ShortestPathsLatency returns all-pairs shortest paths by link
-// latency. The result is computed on first use and cached until a
-// mutator bumps the graph's generation; the returned matrix is shared
-// across callers (and across Clones taken while it is valid), so treat
-// it as immutable.
-func (g *Graph) ShortestPathsLatency() *APSP {
-	g.cacheMu.Lock()
-	defer g.cacheMu.Unlock()
-	if g.latSP == nil || g.latGen != g.gen {
-		g.latSP, g.latGen = g.shortestPathsLatencyFresh(), g.gen
-	}
-	return g.latSP
-}
-
-// ShortestPathsHops returns all-pairs shortest paths by hop count,
-// cached like ShortestPathsLatency.
-func (g *Graph) ShortestPathsHops() *APSP {
-	g.cacheMu.Lock()
-	defer g.cacheMu.Unlock()
-	if g.hopSP == nil || g.hopGen != g.gen {
-		g.hopSP, g.hopGen = g.shortestPathsHopsFresh(), g.gen
-	}
-	return g.hopSP
-}
-
-// ShortestPathTrees returns the graph's shared LRU table of latency
-// shortest-path trees (see LRUPaths), built with the default capacity on
-// first use and cached until a mutator bumps the graph's generation. The
-// table routes over a frozen copy of the graph's structure, so a later
-// mutation of this graph or of a Clone sharing the table never changes
-// its answers; every caller, and every Clone taken while it is valid,
-// shares one set of trees, so each tree is solved once per graph. Fault
-// events must not be applied to the shared table: a fault-aware caller
-// builds its own with NewLRUPaths.
-func (g *Graph) ShortestPathTrees() *LRUPaths {
+// ShortestPathsLatency returns the graph's routing table: the shared
+// LRUPaths of latency shortest-path trees, built with the default
+// capacity on first use and cached until a mutator bumps the graph's
+// generation. The table routes over a frozen copy of the graph's
+// structure, so a later mutation of this graph or of a Clone sharing
+// the table never changes its answers; every caller, and every Clone
+// taken while it is valid, shares one set of trees, so each tree is
+// solved once per graph. Fault events must not be applied to the
+// shared table: a fault-aware caller builds its own with NewLRUPaths.
+func (g *Graph) ShortestPathsLatency() *LRUPaths {
 	g.cacheMu.Lock()
 	defer g.cacheMu.Unlock()
 	if g.trees == nil || g.treeGen != g.gen {
@@ -122,12 +93,11 @@ func (g *Graph) ShortestPathTrees() *LRUPaths {
 	return g.trees
 }
 
-// warmRouteCache fills both shortest-path caches; the dataset builders
-// call it once at build time so every handed-out clone starts with the
-// matrices precomputed.
+// warmRouteCache solves every tree of the graph's routing table; the
+// dataset builders call it once at build time so every handed-out clone
+// starts with routing solved.
 func (g *Graph) warmRouteCache() {
-	g.ShortestPathsLatency()
-	g.ShortestPathsHops()
+	g.ShortestPathsLatency().MaxDist()
 }
 
 // New returns an empty graph with the given display name.
@@ -406,11 +376,10 @@ func (g *Graph) TransformLatencies(f func(float64) float64) error {
 }
 
 // Clone returns a deep copy of the graph, including any measured
-// latency matrix. The copy shares the source's cached shortest-path
-// matrices and tree table (they describe the identical structure); a
-// later mutation of either graph invalidates only that graph's cache,
-// so clones of the memoized datasets start with routing precomputed
-// for free.
+// latency matrix. The copy shares the source's routing table (it
+// describes the identical structure); a later mutation of either graph
+// invalidates only that graph's cache, so clones of the memoized
+// datasets start with routing solved for free.
 func (g *Graph) Clone() *Graph {
 	c := g.structure()
 	if g.measured != nil {
@@ -421,8 +390,6 @@ func (g *Graph) Clone() *Graph {
 	}
 	g.cacheMu.Lock()
 	c.gen = g.gen
-	c.latSP, c.latGen = g.latSP, g.latGen
-	c.hopSP, c.hopGen = g.hopSP, g.hopGen
 	c.trees, c.treeGen = g.trees, g.treeGen
 	g.cacheMu.Unlock()
 	return c

@@ -9,14 +9,14 @@ import (
 )
 
 // This file provides the hierarchical AS×POP topology generator that
-// feeds the scalable routing backends: levels of aggregation (core
+// feeds the scalable routing work: levels of aggregation (core
 // backbone, regional ASes, POPs, access routers) expanded fanout by
 // fanout into graphs of 10³–10⁵ routers, deterministically from a seed.
 // The structure mirrors how internet-scale CCN deployments are
 // described (a small meshed core, tiers of aggregation below it, leaves
 // multi-homed for redundancy) and yields small diameters at huge node
-// counts — the regime where the dense O(n²) APSP is impossible and the
-// LRU backend earns its keep.
+// counts — the regime where an O(n²) routing table no longer fits and a
+// bounded LRUPaths earns its keep.
 
 // HierLevel describes one tier of a hierarchical topology.
 type HierLevel struct {
@@ -36,7 +36,7 @@ type HierLevel struct {
 
 // MaxHierNodes bounds the total node count a hierarchy spec may expand
 // to, protecting callers from typo'd fanouts that would OOM the process
-// before any backend gets a say.
+// before any routing table is built.
 const MaxHierNodes = 1 << 21
 
 // HierNodeCount returns the total node count the given levels expand
@@ -212,8 +212,8 @@ func ParseHierSpec(fanouts, lats, reds string) ([]HierLevel, error) {
 // DiameterEstimate returns a double-sweep lower bound on the weighted
 // diameter in O(m log n): one Dijkstra from node 0 finds the farthest
 // node u, a second from u returns its eccentricity. Exact on trees,
-// and in practice tight on the hierarchical graphs; use a backend's
-// MaxDist for the exact figure.
+// and in practice tight on the hierarchical graphs; use the routing
+// table's MaxDist for the exact figure.
 func (g *Graph) DiameterEstimate() float64 {
 	n := g.N()
 	if n < 2 {
@@ -224,7 +224,7 @@ func (g *Graph) DiameterEstimate() float64 {
 	next := make([]int32, n)
 	parent := make([]int32, n)
 	farthest := func(src NodeID) (NodeID, float64) {
-		g.dijkstraRows(src, false, nil, scratch, dist, next, parent)
+		g.dijkstraRows(src, nil, scratch, dist, next, parent)
 		u, best := src, 0.0
 		for v, d := range dist {
 			if !math.IsInf(d, 1) && d > best {

@@ -4,32 +4,38 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"ccncoord/internal/par"
 )
 
-// LRUPaths answers shortest-path queries from a bounded cache of
-// per-source shortest-path trees, computed on demand by the same
-// Dijkstra kernel the dense APSP uses. One tree holds source src's full
+// LRUPaths is the routing table: it answers shortest-path queries over
+// a graph's link latencies from per-source shortest-path trees, each
+// solved on demand by one Dijkstra. One tree holds source src's full
 // distance, first-hop and predecessor rows (16·n bytes: a float64 and
-// two int32 node ids per node), so the whole backend costs
-// 16·n·capacity bytes instead of the dense matrix's 16·n² — the backend
-// that unlocks 10⁵-router topologies, where one dense matrix would need
-// ~160 GB.
+// two int32 node ids per node), so a table costs 16·n·capacity bytes.
+// Dist(i, j) is the shortest-path length from i to j (0 on the
+// diagonal, +Inf if unreachable), Next(i, j) the first hop out of i
+// toward j (-1 on the diagonal or if unreachable).
 //
-// Exactness: a cached tree is produced by Graph.dijkstraRows with the
-// identical adjacency iteration order as a dense APSP row, so Dist and
-// Next are bit-identical to the dense backend on any graph — ties
-// included. Path walks first hops across trees exactly like APSP.Path
-// walks Next rows, so it is bit-identical too; note that a cold Path
-// query can therefore fill up to path-length trees (see PathTree for
-// the single-tree variant that stays within tree(src)).
+// Full and bounded tables: a table whose capacity covers every source
+// (every graph up to 4 096 routers at the default budget) never evicts.
+// Each tree is solved once, on its first query under the fill mutex or
+// by the diameter sweep, and then published in its source's slot;
+// from then on Dist and Next are a slot load plus a row index, with no
+// lock and no recency list. A bounded table (capacity below the source
+// count, for graphs past the budget) keeps its trees in LRU order, and
+// every query takes the mutex, because a miss recycles the least
+// recently used tree's buffers.
+//
+// Exactness: every tree is produced by Graph.dijkstraRows, one kernel
+// with one adjacency order, so the answers do not depend on capacity,
+// fill order or worker count — ties included.
 //
 // Invalidation: every query stamps itself against the graph's mutation
 // generation; any Graph mutator bumps the generation (see Graph.bump),
 // so the first query after a mutation drops every cached tree and
-// recomputes against the new structure — the same contract as the dense
-// APSP cache.
+// recomputes against the new structure.
 //
 // Faults: SetNode and SetLink take routers and links down or up without
 // touching the Graph. Every answer then describes the alive subgraph,
@@ -38,28 +44,38 @@ import (
 // recomputed by the same kernel over the alive subgraph on its next
 // query, so Dist and Next always equal a fresh solve of that subgraph.
 //
-// Sharing: Graph.ShortestPathTrees hands every caller on one graph the
-// same fault-free table, so its trees are solved once per graph and
+// Sharing: Graph.ShortestPathsLatency hands every caller on one graph
+// the same fault-free table, so its trees are solved once per graph and
 // then served to every run; a caller that applies faults builds its
 // own table.
 //
-// LRUPaths is safe for concurrent readers (one mutex serializes
-// queries); mutating the underlying Graph, and fault events racing a
-// Warm, still require external synchronization, exactly as with the
-// dense cache.
+// LRUPaths is safe for concurrent queries. Mutating the underlying
+// Graph and applying fault events must not race a query or a Warm; the
+// data plane applies faults from its single event loop.
 type LRUPaths struct {
-	g   *Graph
-	cap int
+	g *Graph
 
+	// gen is the graph generation the cached trees describe; full,
+	// cap and trees are rewritten only together with it, under mu, and
+	// gen is stored last. A lock-free reader loads gen first, so when
+	// it matches the graph the reader also sees the matching full and
+	// trees.
+	gen   atomic.Uint64
+	full  bool // cap covers every source: nothing is ever evicted
+	cap   int
+	trees []atomic.Pointer[lruTree] // by source; nil when not cached
+
+	// mu is the fill mutex: it serializes solves, fault events and the
+	// sweep, and on a bounded table every query.
 	mu      sync.Mutex
-	gen     uint64
-	trees   []*lruTree // by source; nil when not cached
-	cached  int        // non-nil entries of trees
-	head    *lruTree   // most recently used
-	tail    *lruTree   // least recently used
+	cached  int      // non-nil entries of trees
+	head    *lruTree // most recently used (bounded tables only)
+	tail    *lruTree // least recently used (bounded tables only)
 	scratch *spScratch
 	down    *downSet // nil while every router and link is up
 
+	// hits counts the hits of trees no longer cached; the live trees
+	// count their own (see Stats).
 	hits, misses, evictions uint64
 
 	// Cached whole-graph aggregates (MaxDist / MeanDist sweep), valid
@@ -72,11 +88,15 @@ type LRUPaths struct {
 
 // lruTree is one cached single-source shortest-path tree.
 type lruTree struct {
+	hits      atomic.Uint64 // queries answered while cached
 	src       NodeID
 	dist      []float64
 	next      []int32
 	parent    []int32
 	prev, nxt *lruTree
+	// Pad to 128 bytes, a malloc size class of whole cache lines, so
+	// the hit counters of two trees never share a line.
+	_ [24]byte
 }
 
 // newLRUTree allocates the rows of one tree for an n-node graph.
@@ -117,7 +137,7 @@ func LRUCapacityForBudget(n, budgetBytes int) int {
 	return c
 }
 
-// NewLRUPaths builds the LRU backend over g's latency metric with room
+// NewLRUPaths builds a routing table over g's latency metric with room
 // for capacity cached trees; non-positive capacity selects
 // LRUCapacityForBudget(n, DefaultLRUBudgetBytes).
 func NewLRUPaths(g *Graph, capacity int) *LRUPaths {
@@ -125,16 +145,9 @@ func NewLRUPaths(g *Graph, capacity int) *LRUPaths {
 	if capacity <= 0 {
 		capacity = LRUCapacityForBudget(n, DefaultLRUBudgetBytes)
 	}
-	if capacity > n && n > 0 {
-		capacity = n
-	}
-	return &LRUPaths{
-		g:       g,
-		cap:     capacity,
-		gen:     g.gen,
-		trees:   make([]*lruTree, n),
-		scratch: newSPScratch(n, g.edges),
-	}
+	l := &LRUPaths{g: g, cap: capacity}
+	l.flushLocked()
+	return l
 }
 
 // N returns the number of nodes covered.
@@ -144,49 +157,73 @@ func (l *LRUPaths) N() int { return l.g.N() }
 func (l *LRUPaths) Capacity() int { return l.cap }
 
 // Stats returns the cumulative query-cache counters: tree hits, misses
-// (each miss is one Dijkstra), and evictions.
+// (each miss is one Dijkstra), and evictions. The hits are exact: the
+// table's folded total plus every live tree's own counter.
 func (l *LRUPaths) Stats() (hits, misses, evictions uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.hits, l.misses, l.evictions
+	hits = l.hits
+	for i := range l.trees {
+		if t := l.trees[i].Load(); t != nil {
+			hits += t.hits.Load()
+		}
+	}
+	return hits, l.misses, l.evictions
 }
 
-// flushLocked drops every cached tree after a graph mutation; the node
-// count may have changed, so scratch and tree buffers are resized by
-// reallocation.
+// flushLocked drops every cached tree and stamps the table with the
+// graph's current generation; the node count may have changed, so
+// scratch and slots are resized by reallocation.
 func (l *LRUPaths) flushLocked() {
+	for i := range l.trees {
+		if t := l.trees[i].Load(); t != nil {
+			l.hits += t.hits.Load()
+		}
+	}
 	n := l.g.N()
-	l.gen = l.g.gen
-	l.trees, l.cached = make([]*lruTree, n), 0
+	l.trees, l.cached = make([]atomic.Pointer[lruTree], n), 0
 	l.head, l.tail = nil, nil
 	l.scratch = newSPScratch(n, l.g.edges)
 	l.aggValid = false
 	if l.cap > n && n > 0 {
 		l.cap = n
 	}
+	l.full = l.cap >= n
 	if l.down != nil && len(l.down.node) < n {
 		l.down.node = append(l.down.node, make([]bool, n-len(l.down.node))...)
 	}
+	l.gen.Store(l.g.gen)
+}
+
+// published returns src's tree without locking when the table is full
+// and the tree is cached at the graph's current generation, counting
+// the hit; nil sends the caller to the fill path.
+func (l *LRUPaths) published(src NodeID) *lruTree {
+	if l.gen.Load() != l.g.gen || !l.full {
+		return nil
+	}
+	t := l.trees[src].Load()
+	if t != nil {
+		t.hits.Add(1)
+	}
+	return t
 }
 
 // treeLocked returns src's shortest-path tree, computing and caching it
-// on a miss (evicting the least recently used tree when full). The
-// caller holds l.mu.
+// on a miss (evicting the least recently used tree when a bounded
+// table is full). The caller holds l.mu.
 func (l *LRUPaths) treeLocked(src NodeID) *lruTree {
-	if l.gen != l.g.gen {
+	if l.gen.Load() != l.g.gen {
 		l.flushLocked()
 	}
-	if t := l.trees[src]; t != nil {
-		l.hits++
-		if l.cap < len(l.trees) {
-			// With room for every source nothing is ever evicted, so
-			// only a smaller cache keeps the recency order.
+	if t := l.trees[src].Load(); t != nil {
+		t.hits.Add(1)
+		if !l.full {
 			l.touchLocked(t)
 		}
 		return t
 	}
 	l.misses++
-	n := l.g.N()
 	var t *lruTree
 	if l.cached >= l.cap && l.tail != nil {
 		// Reuse the evicted tree's buffers: steady state allocates
@@ -195,26 +232,32 @@ func (l *LRUPaths) treeLocked(src NodeID) *lruTree {
 		l.removeLocked(t)
 		l.evictions++
 	} else {
-		t = newLRUTree(n)
+		t = newLRUTree(l.g.N())
 	}
 	t.src = src
-	l.g.dijkstraRows(src, false, l.down, l.scratch, t.dist, t.next, t.parent)
+	l.g.dijkstraRows(src, l.down, l.scratch, t.dist, t.next, t.parent)
 	l.insertLocked(t)
 	return t
 }
 
-// insertLocked caches t as its source's tree, most recently used.
+// insertLocked publishes t as its source's tree, most recently used.
 func (l *LRUPaths) insertLocked(t *lruTree) {
-	l.trees[t.src] = t
+	l.trees[t.src].Store(t)
 	l.cached++
-	l.pushFrontLocked(t)
+	if !l.full {
+		l.pushFrontLocked(t)
+	}
 }
 
-// removeLocked drops t from the cache.
+// removeLocked drops t from the cache, folding its hits into the
+// table's total.
 func (l *LRUPaths) removeLocked(t *lruTree) {
-	l.unlinkLocked(t)
-	l.trees[t.src] = nil
+	if !l.full {
+		l.unlinkLocked(t)
+	}
+	l.trees[t.src].Store(nil)
 	l.cached--
+	l.hits += t.hits.Swap(0)
 }
 
 // touchLocked moves t to the most-recently-used position.
@@ -253,28 +296,37 @@ func (l *LRUPaths) pushFrontLocked(t *lruTree) {
 	}
 }
 
-// Dist returns the shortest-path length from i to j, bit-identical to
-// the dense backend.
+// Dist returns the shortest-path length from i to j.
 func (l *LRUPaths) Dist(i, j NodeID) float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.treeLocked(i).dist[j]
+	if t := l.published(i); t != nil {
+		return t.dist[j]
+	}
+	d, _ := l.lookup(i, j)
+	return d
 }
 
 // Next returns the first hop out of i on a shortest path toward j, or
-// -1 when i == j or j is unreachable; bit-identical to the dense
-// backend.
+// -1 when i == j or j is unreachable.
 func (l *LRUPaths) Next(i, j NodeID) NodeID {
+	if t := l.published(i); t != nil {
+		return NodeID(t.next[j])
+	}
+	_, next := l.lookup(i, j)
+	return next
+}
+
+// lookup answers (i, j) under the fill mutex: a bounded table's every
+// query, and a full table's first query of each source.
+func (l *LRUPaths) lookup(i, j NodeID) (float64, NodeID) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return NodeID(l.treeLocked(i).next[j])
+	t := l.treeLocked(i)
+	return t.dist[j], NodeID(t.next[j])
 }
 
 // Path returns the node sequence from src to dst (inclusive), walking
-// first hops across per-source trees exactly like APSP.Path walks Next
-// rows — so the sequence is bit-identical to the dense backend's, ties
-// included. A cold call can fill up to path-length trees; see PathTree
-// for the single-tree variant.
+// first hops across per-source trees. A cold call can fill up to
+// path-length trees; see PathTree for the single-tree variant.
 func (l *LRUPaths) Path(src, dst NodeID) ([]NodeID, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -303,9 +355,9 @@ func (l *LRUPaths) Path(src, dst NodeID) ([]NodeID, error) {
 
 // PathTree returns a shortest path from src to dst read entirely out of
 // src's own tree (the predecessor chain), touching exactly one cached
-// tree — the query shape the LRU is sized for. The result is a valid
-// shortest path of the same length as Path's; under exact equal-cost
-// ties the node sequence may differ from the dense walk.
+// tree — the query shape a bounded table is sized for. The result is a
+// valid shortest path of the same length as Path's; under exact
+// equal-cost ties the node sequence may differ from the first-hop walk.
 func (l *LRUPaths) PathTree(src, dst NodeID) ([]NodeID, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -347,7 +399,7 @@ func (l *LRUPaths) Warm(sources []NodeID, workers int) {
 		return
 	}
 	l.mu.Lock()
-	if l.gen != l.g.gen {
+	if l.gen.Load() != l.g.gen {
 		l.flushLocked()
 	}
 	// Skip sources that are already cached; compute the rest outside
@@ -359,7 +411,7 @@ func (l *LRUPaths) Warm(sources []NodeID, workers int) {
 			continue
 		}
 		seen[s] = true
-		if l.trees[s] == nil {
+		if l.trees[s].Load() == nil {
 			missing = append(missing, s)
 		}
 	}
@@ -381,20 +433,20 @@ func (l *LRUPaths) Warm(sources []NodeID, workers int) {
 		for i := w; i < len(missing); i += workers {
 			t := newLRUTree(n)
 			t.src = missing[i]
-			l.g.dijkstraRows(missing[i], false, down, scratch, t.dist, t.next, t.parent)
+			l.g.dijkstraRows(missing[i], down, scratch, t.dist, t.next, t.parent)
 			out[i] = t
 		}
 		return nil
 	})
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.gen != l.g.gen {
+	if l.gen.Load() != l.g.gen {
 		// The graph mutated mid-warm; the computed trees are stale.
 		l.flushLocked()
 		return
 	}
 	for _, t := range out {
-		if l.trees[t.src] != nil {
+		if l.trees[t.src].Load() != nil {
 			continue
 		}
 		l.misses++ // a warm fill is an off-path miss: it ran one Dijkstra
@@ -406,6 +458,13 @@ func (l *LRUPaths) Warm(sources []NodeID, workers int) {
 	}
 }
 
+// parallelSweepSources is the node count above which the diameter sweep
+// fans its Dijkstras out over the worker pool. The evaluation datasets
+// (11-36 nodes) stay serial — per-source work there is microseconds and
+// scratch reuse beats goroutine overhead — while the network-size
+// sweep graphs (hundreds of nodes) split across CPUs.
+const parallelSweepSources = 96
+
 // sweepBatch is how many sources each worker solves per round of the
 // aggregate sweep before the round's rows are folded in source order.
 const sweepBatch = 8
@@ -413,25 +472,23 @@ const sweepBatch = 8
 // sweepLocked computes the whole-graph aggregates (max and sum of
 // finite off-diagonal distances) with one Dijkstra per uncached source.
 // Each round fans sweepBatch sources per worker over the pool (above
-// parallelAPSPSources nodes), then folds the round's rows serially in
+// parallelSweepSources nodes), then folds the round's rows serially in
 // source order, scanning each in destination order: the same additions
-// in the same order as the dense scan, so both aggregates are
-// bit-identical to the dense backend's at any worker count, in
-// O(batch·n) memory where the dense MaxDist/MeanDist scan an O(n²)
-// matrix. A row served from a cached tree costs no Dijkstra, and while
-// the cache has room a solved row is kept as its source's tree (never
-// evicting one), so a table whose capacity covers every source solves
+// in the same order at any worker count, so both aggregates are
+// deterministic, in O(batch·n) memory. A row served from a cached tree
+// costs no Dijkstra, and while the cache has room a solved row is kept
+// as its source's tree (never evicting one), so a full table solves
 // each tree exactly once. The caller holds l.mu.
 func (l *LRUPaths) sweepLocked() {
-	if l.gen != l.g.gen {
+	if l.gen.Load() != l.g.gen {
 		l.flushLocked()
 	}
-	if l.aggValid && l.aggGen == l.gen {
+	if l.aggValid && l.aggGen == l.g.gen {
 		return
 	}
 	n := l.g.N()
 	workers := 1
-	if n >= parallelAPSPSources {
+	if n >= parallelSweepSources {
 		workers = min(par.DefaultWorkers(), n)
 	}
 	scratch := make([]*spScratch, workers)
@@ -448,7 +505,7 @@ func (l *LRUPaths) sweepLocked() {
 		// The workers only read l.trees; the fold below writes it.
 		_ = par.ForEach(workers, workers, func(w int) error {
 			for i := base + w; i < end; i += workers {
-				if l.trees[i] != nil {
+				if l.trees[i].Load() != nil {
 					continue
 				}
 				t := rows[i-base]
@@ -457,12 +514,12 @@ func (l *LRUPaths) sweepLocked() {
 					rows[i-base] = t
 				}
 				t.src = NodeID(i)
-				l.g.dijkstraRows(t.src, false, l.down, scratch[w], t.dist, t.next, t.parent)
+				l.g.dijkstraRows(t.src, l.down, scratch[w], t.dist, t.next, t.parent)
 			}
 			return nil
 		})
 		for i := base; i < end; i++ {
-			t := l.trees[i]
+			t := l.trees[i].Load()
 			if t == nil {
 				t = rows[i-base]
 				if l.cached < l.cap {
@@ -482,13 +539,13 @@ func (l *LRUPaths) sweepLocked() {
 		}
 	}
 	l.maxDist, l.distSum = maxD, sum
-	l.aggValid, l.aggGen = true, l.gen
+	l.aggValid, l.aggGen = true, l.g.gen
 }
 
 // MaxDist returns the largest finite off-diagonal distance (the
-// weighted diameter), bit-identical to the dense backend. The first
-// call per graph generation or fault event runs the parallel sweep (one
-// Dijkstra per uncached source); the scalar is then cached.
+// weighted diameter). The first call per graph generation or fault
+// event runs the parallel sweep (one Dijkstra per uncached source); the
+// scalar is then cached.
 func (l *LRUPaths) MaxDist() float64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -496,9 +553,9 @@ func (l *LRUPaths) MaxDist() float64 {
 	return l.maxDist
 }
 
-// MeanDist returns the mean off-diagonal pairwise distance (see
-// APSP.MeanDist for the includeDiagonal convention), bit-identical to
-// the dense backend; cached like MaxDist.
+// MeanDist returns the mean off-diagonal pairwise distance, cached like
+// MaxDist. With includeDiagonal true it divides by |V|^2 (the paper's
+// Section V-A convention); otherwise by |V|*(|V|-1).
 func (l *LRUPaths) MeanDist(includeDiagonal bool) float64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -541,12 +598,10 @@ func (l *LRUPaths) settleLocked() {
 // invalidateLocked evicts every cached tree for which stale reports
 // true.
 func (l *LRUPaths) invalidateLocked(stale func(t *lruTree) bool) {
-	for t := l.head; t != nil; {
-		nxt := t.nxt
-		if stale(t) {
+	for i := range l.trees {
+		if t := l.trees[i].Load(); t != nil && stale(t) {
 			l.removeLocked(t)
 		}
-		t = nxt
 	}
 }
 
@@ -559,7 +614,7 @@ func (l *LRUPaths) invalidateLocked(stale func(t *lruTree) bool) {
 func (l *LRUPaths) SetNode(v NodeID, up bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.gen != l.g.gen {
+	if l.gen.Load() != l.g.gen {
 		l.flushLocked()
 	}
 	if (l.down != nil && l.down.node[v]) == !up {
@@ -598,7 +653,7 @@ func (l *LRUPaths) SetNode(v NodeID, up bool) {
 func (l *LRUPaths) SetLink(a, b NodeID, up bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.gen != l.g.gen {
+	if l.gen.Load() != l.g.gen {
 		l.flushLocked()
 	}
 	key := LinkKey(a, b)

@@ -3,7 +3,7 @@ package topology
 import "fmt"
 
 // Params are the topological parameters of the paper's Table III,
-// extracted from a topology's all-pairs shortest paths:
+// extracted from a topology's pairwise shortest paths:
 //
 //   - N: number of routers n = |V|.
 //   - UnitCost: w = max_{i,j} d_ij, the maximum pairwise latency, used as
@@ -27,19 +27,20 @@ type Params struct {
 //
 // When the graph carries a measured pairwise latency matrix (as the
 // paper's datasets do), w and d1-d0 (ms) come from that matrix;
-// otherwise they come from shortest-path latencies over the links.
+// otherwise they come from the graph's routing table. The hop mean
+// comes from a breadth-first pass over every source.
 func ExtractParams(g *Graph) (Params, error) {
 	if g.N() < 2 {
 		return Params{}, fmt.Errorf("topology: %q has %d nodes; need at least 2", g.Name(), g.N())
 	}
-	if !g.Connected() {
+	hops, connected := g.meanHopsConnected(newBFSScratch(g.N()))
+	if !connected {
 		return Params{}, fmt.Errorf("topology: %q is not connected", g.Name())
 	}
-	hop := g.ShortestPathsHops()
 	p := Params{
 		Name:        g.Name(),
 		N:           g.N(),
-		TierGapHops: hop.MeanDist(false),
+		TierGapHops: hops,
 	}
 	if m := g.MeasuredLatencies(); m != nil {
 		p.UnitCost = matrixMax(m)

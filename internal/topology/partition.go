@@ -5,6 +5,12 @@ import (
 	"math"
 )
 
+// DenseAutoThreshold is the router count at which sim.ResolveShards
+// auto-shards a run: below it (every calibrated dataset) the serial
+// engine runs, at or above it min(8, GOMAXPROCS) shards over a
+// PartitionGraph split.
+const DenseAutoThreshold = 1024
+
 // Partition is a deterministic assignment of every node to one of
 // Parts contiguous regions, produced by PartitionGraph. It also
 // carries the two cut statistics the sharded simulator needs: the

@@ -1,111 +1,9 @@
 package topology
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
-
-	"ccncoord/internal/par"
 )
-
-// APSP holds all-pairs shortest-path results for one metric on flat,
-// stride-indexed backing arrays (row i starts at offset i*n), which
-// keeps the whole matrix in three allocations and lets per-source
-// solvers write disjoint rows in parallel. Node ids are stored as
-// int32, so a pair costs 8 + 4 + 4 = 16 bytes. Dist(i, j) is the
-// shortest-path length from i to j (0 on the diagonal, +Inf if
-// unreachable), Next(i, j) is the first hop on a shortest path from i
-// toward j (-1 on the diagonal or if unreachable), and Parent(i, j) is
-// j's predecessor on that path (-1 likewise). Next matrices drive the
-// packet simulator's FIB construction.
-//
-// An APSP returned by Graph.ShortestPathsLatency / ShortestPathsHops is
-// a shared cache entry: treat it as immutable.
-type APSP struct {
-	n      int
-	dist   []float64
-	next   []int32
-	parent []int32
-}
-
-// N returns the number of nodes the matrix covers.
-func (a *APSP) N() int { return a.n }
-
-// Dist returns the shortest-path length from i to j.
-func (a *APSP) Dist(i, j NodeID) float64 { return a.dist[int(i)*a.n+int(j)] }
-
-// Next returns the first hop out of i on a shortest path toward j, or
-// -1 when i == j or j is unreachable.
-func (a *APSP) Next(i, j NodeID) NodeID { return NodeID(a.next[int(i)*a.n+int(j)]) }
-
-// Parent returns j's predecessor on a shortest path from i, or -1 when
-// i == j or j is unreachable.
-func (a *APSP) Parent(i, j NodeID) NodeID { return NodeID(a.parent[int(i)*a.n+int(j)]) }
-
-// DistRow returns source i's distance row. The returned slice aliases
-// the matrix backing array; callers must not modify it.
-func (a *APSP) DistRow(i NodeID) []float64 {
-	return a.dist[int(i)*a.n : (int(i)+1)*a.n]
-}
-
-// newAPSP allocates an uninitialized matrix for n nodes.
-func newAPSP(n int) *APSP {
-	return &APSP{
-		n:      n,
-		dist:   make([]float64, n*n),
-		next:   make([]int32, n*n),
-		parent: make([]int32, n*n),
-	}
-}
-
-// ShortestPathsLatency returns all-pairs shortest paths over link
-// latencies. The result is cached on the graph and invalidated by
-// mutators; see Graph.ShortestPathsLatency in graph.go for the caching
-// wrapper — this method computes a fresh matrix.
-func (g *Graph) shortestPathsLatencyFresh() *APSP {
-	return g.apsp(false)
-}
-
-// shortestPathsHopsFresh computes hop-count all-pairs shortest paths
-// (unit link weights).
-func (g *Graph) shortestPathsHopsFresh() *APSP {
-	return g.apsp(true)
-}
-
-// parallelAPSPSources is the node count above which per-source solvers
-// fan out over the worker pool. The evaluation datasets (11-36 nodes)
-// stay serial — per-source work there is microseconds and scratch reuse
-// beats goroutine overhead — while the network-size sweep graphs
-// (hundreds of nodes) split across CPUs.
-const parallelAPSPSources = 96
-
-// apsp runs Dijkstra from every source, serially with one reused
-// scratch below parallelAPSPSources, else fanned over the worker pool
-// with per-worker scratch. Every source writes only its own matrix
-// rows, so the result is identical at any worker count.
-func (g *Graph) apsp(unitWeights bool) *APSP {
-	n := len(g.nodes)
-	out := newAPSP(n)
-	workers := par.DefaultWorkers()
-	if n < parallelAPSPSources || workers <= 1 {
-		scratch := newSPScratch(n, g.edges)
-		for src := 0; src < n; src++ {
-			g.dijkstraInto(out, NodeID(src), unitWeights, scratch)
-		}
-		return out
-	}
-	if workers > n {
-		workers = n
-	}
-	_ = par.ForEach(workers, workers, func(w int) error {
-		scratch := newSPScratch(n, g.edges)
-		for src := w; src < n; src += workers {
-			g.dijkstraInto(out, NodeID(src), unitWeights, scratch)
-		}
-		return nil
-	})
-	return out
-}
 
 // pqItem is a priority-queue entry for Dijkstra.
 type pqItem struct {
@@ -116,7 +14,7 @@ type pqItem struct {
 // pq is a hand-rolled min-heap of pqItem by distance. It avoids
 // container/heap, whose interface boxes every pushed item into an `any`
 // and therefore allocates once per edge relaxation — a dominant
-// allocation source when all-pairs shortest paths run per simulation.
+// allocation source when every routing tree of a graph is solved.
 type pq []pqItem
 
 // push appends it and restores the heap invariant.
@@ -183,15 +81,6 @@ func newSPScratch(n, m int) *spScratch {
 	}
 }
 
-// dijkstraInto runs Dijkstra from src and writes the distance, first-hop
-// and predecessor rows of out in place.
-func (g *Graph) dijkstraInto(out *APSP, src NodeID, unitWeights bool, s *spScratch) {
-	n := out.n
-	base := int(src) * n
-	g.dijkstraRows(src, unitWeights, nil, s,
-		out.dist[base:base+n], out.next[base:base+n], out.parent[base:base+n])
-}
-
 // downSet is the failed part of a graph: the down routers plus the down
 // undirected links, keyed by LinkKey. A nil *downSet means everything
 // is up.
@@ -215,15 +104,14 @@ func (d *downSet) dead(a, b NodeID) bool {
 	return d.node[b] || (len(d.links) > 0 && d.links[LinkKey(a, b)])
 }
 
-// dijkstraRows is the single-source shortest-path kernel shared by every
-// routing backend: the dense APSP writes matrix rows through it, and the
-// LRU backend fills its per-source trees with it. Sharing one kernel
-// (same adjacency iteration order, same heap) is what makes the LRU
-// backend's per-source results bit-identical to the dense rows. A
-// non-nil down set restricts the solve to the alive subgraph: down
-// routers never enter the heap, down links are skipped in place, and a
-// down source yields an isolated row.
-func (g *Graph) dijkstraRows(src NodeID, unitWeights bool, down *downSet, s *spScratch, dist []float64, next, parent []int32) {
+// dijkstraRows is the single-source shortest-path kernel over link
+// latencies: it fills the distance, first-hop and predecessor rows of
+// one source. Every routing tree (see LRUPaths) and the diameter
+// estimate run it, so one adjacency iteration order and one heap decide
+// every tie. A non-nil down set restricts the solve to the alive
+// subgraph: down routers never enter the heap, down links are skipped
+// in place, and a down source yields an isolated row.
+func (g *Graph) dijkstraRows(src NodeID, down *downSet, s *spScratch, dist []float64, next, parent []int32) {
 	for i := range dist {
 		dist[i] = math.Inf(1)
 		next[i] = -1
@@ -252,11 +140,7 @@ func (g *Graph) dijkstraRows(src NodeID, unitWeights bool, down *downSet, s *spS
 			if down != nil && down.dead(it.node, he.to) {
 				continue
 			}
-			w := he.latency
-			if unitWeights {
-				w = 1
-			}
-			if d := it.dist + w; d < dist[he.to] {
+			if d := it.dist + he.latency; d < dist[he.to] {
 				dist[he.to] = d
 				parent[he.to] = int32(it.node)
 				s.heap.push(pqItem{node: he.to, dist: d})
@@ -282,7 +166,8 @@ func (g *Graph) dijkstraRows(src NodeID, unitWeights bool, down *downSet, s *spS
 // reports ok=false as soon as any source fails to reach every node,
 // folding the connectivity check into the same pass. Per-level depths
 // are integers whose float64 sums are exact, so the mean is bit-equal
-// to the Dijkstra-based MeanDist(false) regardless of summation order.
+// to the mean of a unit-weight Dijkstra solve regardless of summation
+// order; ExtractParams reads Table III's hop mean from it.
 func (g *Graph) meanHopsConnected(s *bfsScratch) (mean float64, ok bool) {
 	n := len(g.nodes)
 	if n < 2 {
@@ -379,71 +264,4 @@ func newBFSScratch(n int) *bfsScratch {
 		queue: make([]NodeID, 0, n),
 		masks: make([]uint64, m),
 	}
-}
-
-// Path returns the node sequence from src to dst (inclusive) following
-// the APSP first-hop matrix, or an error if dst is unreachable.
-func (a *APSP) Path(src, dst NodeID) ([]NodeID, error) {
-	if src == dst {
-		if int(src) >= a.n || src < 0 {
-			return nil, fmt.Errorf("topology: path endpoints (%d,%d) out of range", src, dst)
-		}
-		return []NodeID{src}, nil
-	}
-	if int(src) >= a.n || int(dst) >= a.n || src < 0 || dst < 0 {
-		return nil, fmt.Errorf("topology: path endpoints (%d,%d) out of range", src, dst)
-	}
-	path := []NodeID{src}
-	cur := src
-	for cur != dst {
-		nxt := a.Next(cur, dst)
-		if nxt < 0 {
-			return nil, fmt.Errorf("topology: %d unreachable from %d", dst, src)
-		}
-		path = append(path, nxt)
-		cur = nxt
-		if len(path) > a.n+1 {
-			return nil, fmt.Errorf("topology: first-hop matrix contains a loop between %d and %d", src, dst)
-		}
-	}
-	return path, nil
-}
-
-// MaxDist returns the largest finite off-diagonal distance (the weighted
-// diameter). It returns 0 for graphs with fewer than two nodes.
-func (a *APSP) MaxDist() float64 {
-	var m float64
-	n := a.n
-	for i := 0; i < n; i++ {
-		row := a.dist[i*n : (i+1)*n]
-		for j, d := range row {
-			if i != j && !math.IsInf(d, 1) && d > m {
-				m = d
-			}
-		}
-	}
-	return m
-}
-
-// MeanDist returns the mean off-diagonal pairwise distance. With
-// includeDiagonal true it divides by |V|^2 (the paper's Section V-A
-// convention); otherwise by |V|*(|V|-1).
-func (a *APSP) MeanDist(includeDiagonal bool) float64 {
-	n := a.n
-	if n < 2 {
-		return 0
-	}
-	var sum float64
-	for i := 0; i < n; i++ {
-		row := a.dist[i*n : (i+1)*n]
-		for j, d := range row {
-			if i != j && !math.IsInf(d, 1) {
-				sum += d
-			}
-		}
-	}
-	if includeDiagonal {
-		return sum / float64(n*n)
-	}
-	return sum / float64(n*(n-1))
 }

@@ -49,7 +49,7 @@ func TestShortestPathsLatencyTriangle(t *testing.T) {
 
 func TestShortestPathsHops(t *testing.T) {
 	g := triangle(t)
-	sp := g.ShortestPathsHops()
+	sp := g.hopAPSP()
 	// By hops, 0->2 is direct (1 hop) even though it is 10ms.
 	if got := sp.Dist(0, 2); got != 1 {
 		t.Errorf("hop dist(0,2) = %v, want 1", got)
@@ -89,7 +89,7 @@ func TestUnreachable(t *testing.T) {
 
 func TestMeanDistConventions(t *testing.T) {
 	g := line(3) // pairwise hop distances: (0,1)=1 (0,2)=2 (1,2)=1, doubled ordered
-	sp := g.ShortestPathsHops()
+	sp := g.hopAPSP()
 	// Ordered sum = 2*(1+2+1) = 8; off-diag pairs = 6, n^2 = 9.
 	if got := sp.MeanDist(false); math.Abs(got-8.0/6) > 1e-12 {
 		t.Errorf("MeanDist(false) = %v, want %v", got, 8.0/6)
@@ -182,48 +182,30 @@ func BenchmarkAPSPLatency(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Bypass the generation cache so every iteration measures a full
-		// recompute.
-		g.shortestPathsLatencyFresh()
+		// A fresh table per iteration, so every sweep solves every tree.
+		NewLRUPaths(g, 0).MaxDist()
 	}
 }
 
-// TestAPSPCacheInvalidation checks the generation-stamped cache: every
-// mutator invalidates it, an unchanged graph returns the same matrix
-// pointer, cached results equal a fresh solve exactly, and clones share
-// the cache until they diverge.
+// TestAPSPCacheInvalidation checks the graph's generation-stamped
+// routing table: every mutator replaces it, an unchanged graph returns
+// the same table, the table's answers equal a fresh oracle solve
+// exactly, and clones share the table until they diverge.
 func TestAPSPCacheInvalidation(t *testing.T) {
 	g, err := RandomConnected(12, 20, 1, 10, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameAPSP := func(a, b *APSP) bool {
-		if a.n != b.n {
-			return false
-		}
-		for i := range a.dist {
-			// NaN-free by construction; direct comparison is exact.
-			if a.dist[i] != b.dist[i] || a.next[i] != b.next[i] || a.parent[i] != b.parent[i] {
-				return false
-			}
-		}
-		return true
-	}
 	check := func(stage string) {
 		t.Helper()
 		lat := g.ShortestPathsLatency()
-		if !sameAPSP(lat, g.shortestPathsLatencyFresh()) {
-			t.Fatalf("%s: cached latency APSP differs from fresh solve", stage)
+		order := make([]int, g.N())
+		for i := range order {
+			order[i] = i
 		}
+		checkLRUMatches(t, stage, lat, g.apsp(), order)
 		if g.ShortestPathsLatency() != lat {
-			t.Fatalf("%s: unchanged graph recomputed its latency cache", stage)
-		}
-		hops := g.ShortestPathsHops()
-		if !sameAPSP(hops, g.shortestPathsHopsFresh()) {
-			t.Fatalf("%s: cached hops APSP differs from fresh solve", stage)
-		}
-		if g.ShortestPathsHops() != hops {
-			t.Fatalf("%s: unchanged graph recomputed its hops cache", stage)
+			t.Fatalf("%s: unchanged graph rebuilt its routing table", stage)
 		}
 	}
 
@@ -275,13 +257,13 @@ func TestAPSPCacheInvalidation(t *testing.T) {
 	shared := g.ShortestPathsLatency()
 	c := g.Clone()
 	if c.ShortestPathsLatency() != shared {
-		t.Fatal("clone does not share the cached APSP")
+		t.Fatal("clone does not share the routing table")
 	}
 	if err := c.ScaleLatencies(3); err != nil {
 		t.Fatal(err)
 	}
 	if c.ShortestPathsLatency() == shared {
-		t.Fatal("mutated clone still serves the shared APSP")
+		t.Fatal("mutated clone still serves the shared routing table")
 	}
 	if g.ShortestPathsLatency() != shared {
 		t.Fatal("mutating the clone invalidated the original's cache")
@@ -289,7 +271,7 @@ func TestAPSPCacheInvalidation(t *testing.T) {
 }
 
 // TestConcurrentDatasetAccess hammers the memoized datasets from many
-// goroutines — cloning, reading the shared routing caches, and mutating
+// goroutines — cloning, reading the shared routing tables, and mutating
 // private clones — and relies on -race to flag unsynchronized access.
 func TestConcurrentDatasetAccess(t *testing.T) {
 	var wg sync.WaitGroup
@@ -300,7 +282,7 @@ func TestConcurrentDatasetAccess(t *testing.T) {
 			for _, g := range All() {
 				lat := g.ShortestPathsLatency()
 				_ = lat.MaxDist()
-				_ = g.ShortestPathsHops().MeanDist(false)
+				_ = lat.Next(0, NodeID(g.N()-1))
 				if err := g.ScaleLatencies(2); err != nil {
 					t.Error(err)
 					return
