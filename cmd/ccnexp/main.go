@@ -196,7 +196,11 @@ func main() {
 	case *plotOut:
 		mode = modePlot
 	}
-	if err := runArtifacts(arts, *run, mode, *outDir, *manifest, progress); err != nil {
+	err = runArtifacts(arts, *run, mode, *outDir, *manifest, progress)
+	for _, reason := range experiments.ShardFallbacks() {
+		fmt.Fprintf(os.Stderr, "ccnexp: warning: -shards %d falls back to the serial engine for some scenarios (%s)\n", shards, reason)
+	}
+	if err != nil {
 		fail(err)
 	}
 	if err := traceDone(); err != nil {

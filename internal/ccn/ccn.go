@@ -275,29 +275,35 @@ type node struct {
 	pitPeak    int
 }
 
-// txShard holds the packet-transmission counters written on the hot
-// forwarding path. Serial networks use a single slot; sharded networks
-// give each shard its own cache-line-padded slot (a router's counters
-// are bumped only by its owning shard) and sum the slots on read.
-type txShard struct {
+// executor is one shard's slot of the plane: the engine that runs its
+// routers' events, the packet-transmission counters written on the hot
+// forwarding path, and the record free lists. A serial plane has one
+// slot; a sharded plane has one per shard. A slot is touched only by
+// its own shard's events (or by the single goroutine outside Run), so
+// it needs no locking, and the counters are summed across slots on
+// read.
+type executor struct {
+	eng       *des.Engine
 	interests int64
 	data      int64
-	_         [48]byte // keep adjacent shards off one cache line
+	pool      recordPool
+
+	_ [64]byte // keep adjacent shards off one cache line
 }
 
 // Network is an executable CCN domain over a topology.
 type Network struct {
-	eng   *des.Engine
 	graph *topology.Graph
 	lat   *topology.LRUPaths
 	nodes []*node
 	cat   *catalog.Catalog
 	opts  Options
 
-	// Sharded execution (NewShardedNetwork): se replaces eng, and
-	// shardOf maps each router to the logical process that owns its
-	// state. Both are nil/empty on serial networks.
-	se      *des.Sharded
+	// execs holds one executor slot per shard, and shardOf maps each
+	// router to the slot that runs its events: one slot and all zeros
+	// on a serial plane (NewNetwork), one slot per shard of the engine
+	// on a sharded plane (NewShardedNetwork).
+	execs   []executor
 	shardOf []int32
 
 	// Origin attachment: either a gateway router with an uplink, or a
@@ -308,11 +314,9 @@ type Network struct {
 	attached      bool
 
 	// Counters over the whole run. Interest/data transmissions live in
-	// per-shard slots (one slot on serial networks); the remaining
-	// counters are only reachable on serial-only code paths (loss,
-	// faults, queueing) and stay plain fields.
-	tx               []txShard
-	pools            []recordPool // free lists, one per executor like tx
+	// the executor slots; the remaining counters are only reachable on
+	// serial-only code paths (loss, faults, queueing) and stay plain
+	// fields.
 	droppedInterests int64
 	droppedData      int64
 	retransmissions  int64
@@ -366,13 +370,14 @@ func NewNetwork(eng *des.Engine, g *topology.Graph, cat *catalog.Catalog, opts O
 	if err != nil {
 		return nil, err
 	}
-	n.eng = eng
+	n.execs = []executor{{eng: eng}}
+	n.shardOf = make([]int32, len(n.nodes))
 	return n, nil
 }
 
 // buildNetwork validates options and constructs the router state shared
 // by the serial and sharded constructors; the caller attaches the
-// executor (eng or se).
+// executor slots and the router-to-slot map.
 func buildNetwork(g *topology.Graph, cat *catalog.Catalog, opts Options) (*Network, error) {
 	switch {
 	case g == nil || g.N() == 0:
@@ -417,8 +422,6 @@ func buildNetwork(g *topology.Graph, cat *catalog.Catalog, opts Options) (*Netwo
 		cat:          cat,
 		opts:         opts,
 		originRouter: -1,
-		tx:           make([]txShard, 1),
-		pools:        make([]recordPool, 1),
 	}
 	if opts.LossRate > 0 || opts.Faults || opts.Mode == CacheProb {
 		seed := opts.LossSeed
@@ -488,8 +491,8 @@ func (n *Network) Routes() *topology.LRUPaths { return n.lat }
 // transmissions over network links so far, summed across shards.
 func (n *Network) InterestTransmissions() int64 {
 	var total int64
-	for i := range n.tx {
-		total += n.tx[i].interests
+	for i := range n.execs {
+		total += n.execs[i].interests
 	}
 	return total
 }
@@ -498,42 +501,18 @@ func (n *Network) InterestTransmissions() int64 {
 // transmissions over network links so far, summed across shards.
 func (n *Network) DataTransmissions() int64 {
 	var total int64
-	for i := range n.tx {
-		total += n.tx[i].data
+	for i := range n.execs {
+		total += n.execs[i].data
 	}
 	return total
 }
 
-// txAt returns the transmission-counter slot for events executing at
-// router r: the single serial slot, or r's owning shard's slot.
-func (n *Network) txAt(r topology.NodeID) *txShard {
-	if n.se == nil {
-		return &n.tx[0]
-	}
-	return &n.tx[n.shardOf[r]]
-}
+// execAt returns the executor slot that runs router r's events.
+func (n *Network) execAt(r topology.NodeID) *executor { return &n.execs[n.shardOf[r]] }
 
-// nowAt returns the virtual clock governing router r: the global
-// engine clock, or r's owning shard's local clock.
-func (n *Network) nowAt(r topology.NodeID) float64 {
-	if n.se == nil {
-		return n.eng.Now()
-	}
-	return n.se.Shard(int(n.shardOf[r])).Now()
-}
-
-// schedFrom schedules fn to run at router to's executor after delay,
-// from the context of an event executing at router from. On serial
-// networks this is a plain engine Schedule; on sharded networks it is
-// a shard-local push or a cross-shard mailbox send. Every cross-shard
-// hand-off in the data plane rides a network link, so the delay is at
-// least the partition's cut latency — the engine's lookahead bound.
-func (n *Network) schedFrom(from, to topology.NodeID, delay float64, fn func()) error {
-	if n.se == nil {
-		return n.eng.Schedule(delay, fn)
-	}
-	return n.se.Shard(int(n.shardOf[from])).ScheduleTo(int(n.shardOf[to]), delay, fn)
-}
+// nowAt returns the virtual clock governing router r: its executor's
+// engine clock.
+func (n *Network) nowAt(r topology.NodeID) float64 { return n.execAt(r).eng.Now() }
 
 // DroppedInterests returns how many interest transmissions the lossy
 // fabric discarded.
@@ -613,7 +592,7 @@ func (n *Network) EnterDegraded() error {
 	n.degraded = true
 	n.placementsStale = false // degraded supersedes stale: the directory is bypassed entirely
 	if n.opts.Tracer != nil {
-		n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindMode, Router: -1, Detail: "degraded-enter"})
+		n.opts.Tracer.Emit(trace.Event{T: n.nowAt(0), Kind: trace.KindMode, Router: -1, Detail: "degraded-enter"})
 	}
 	return nil
 }
@@ -637,7 +616,7 @@ func (n *Network) ExitDegraded() int {
 		}
 	}
 	if n.opts.Tracer != nil {
-		n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindMode, Router: -1, N: int64(flushed), Detail: "degraded-exit"})
+		n.opts.Tracer.Emit(trace.Event{T: n.nowAt(0), Kind: trace.KindMode, Router: -1, N: int64(flushed), Detail: "degraded-exit"})
 	}
 	return flushed
 }
@@ -671,7 +650,7 @@ func (n *Network) SetRouterState(r topology.NodeID, up bool) error {
 		if !up {
 			detail = "router-down"
 		}
-		n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindFault, Router: int(r), Detail: detail})
+		n.opts.Tracer.Emit(trace.Event{T: n.nowAt(r), Kind: trace.KindFault, Router: int(r), Detail: detail})
 	}
 	if nd.crashed {
 		n.flushPIT(nd)
@@ -699,7 +678,7 @@ func (n *Network) SetLinkState(a, b topology.NodeID, up bool) error {
 		if !up {
 			detail = "link-down"
 		}
-		n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindFault, Router: int(a), Peer: int(b), Detail: detail})
+		n.opts.Tracer.Emit(trace.Event{T: n.nowAt(a), Kind: trace.KindFault, Router: int(a), Peer: int(b), Detail: detail})
 	}
 	n.routeRecomputes++
 	n.faultTable().SetLink(a, b, up)
@@ -749,7 +728,7 @@ func (n *Network) flushPIT(nd *node) {
 		delete(nd.pit, id)
 		n.expiredEntries++
 		if n.opts.Tracer != nil {
-			n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindExpire, Router: int(nd.id), Content: int64(id), Detail: "crash-flush", Req: entry.primaryReq})
+			n.opts.Tracer.Emit(trace.Event{T: n.nowAt(nd.id), Kind: trace.KindExpire, Router: int(nd.id), Content: int64(id), Detail: "crash-flush", Req: entry.primaryReq})
 		}
 		n.dropEntry(nd.id, id, entry)
 	}
@@ -776,7 +755,7 @@ func (n *Network) failRequest(nid topology.NodeID, id catalog.ID, req *pendingRe
 	n.failedRequests++
 	p := n.newPacket(nid, pktComplete, nid, id, req.req)
 	p.peer, p.request, p.failed = -1, req, true
-	p.completedAt = n.eng.Now() + n.opts.AccessLatency
+	p.completedAt = n.nowAt(nid) + n.opts.AccessLatency
 	if err := n.send(nid, n.opts.AccessLatency, p); err != nil {
 		panic(fmt.Sprintf("ccn: scheduling failure completion: %v", err))
 	}
@@ -795,7 +774,7 @@ func (n *Network) Request(router topology.NodeID, id catalog.ID, done func(Reque
 // event caused by this request's lifecycle carries the same ID, and the
 // completion's RequestResult.Req echoes it.
 func (n *Network) RequestID(router topology.NodeID, id catalog.ID, done func(RequestResult)) (int64, error) {
-	if n.se != nil {
+	if len(n.execs) > 1 {
 		// The shared issue counter would race across shards; sharded
 		// callers precompute globally-ordered IDs and use RequestWithID.
 		return 0, fmt.Errorf("ccn: sharded network requires RequestWithID (precomputed request identity)")
@@ -844,7 +823,7 @@ func (n *Network) handleInterest(nid topology.NodeID, id catalog.ID, from pitFac
 		// are covered by the downstream router's retry timer.
 		n.faultDrops++
 		if n.opts.Tracer != nil {
-			n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindDrop, Router: int(nid), Content: int64(id), Detail: "fault", Req: from.req})
+			n.opts.Tracer.Emit(trace.Event{T: n.nowAt(nid), Kind: trace.KindDrop, Router: int(nid), Content: int64(id), Detail: "fault", Req: from.req})
 		}
 		if from.request != nil {
 			n.failRequest(nid, id, from.request)
@@ -874,7 +853,7 @@ func (n *Network) handleInterest(nid topology.NodeID, id catalog.ID, from pitFac
 		nd.aggregated++
 		entry.more = append(entry.more, from)
 		if n.opts.Tracer != nil {
-			n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindAggregate, Router: int(nid), Content: int64(id), Req: from.req, N: entry.primaryReq})
+			n.opts.Tracer.Emit(trace.Event{T: n.nowAt(nid), Kind: trace.KindAggregate, Router: int(nid), Content: int64(id), Req: from.req, N: entry.primaryReq})
 		}
 		return
 	}
@@ -933,7 +912,7 @@ func (n *Network) armRetx(nid topology.NodeID, id catalog.ID, entry *pitEntry) {
 		delay *= 1 + n.opts.RetxJitter*n.rng.Float64()
 	}
 	gen := entry.gen
-	if err := n.eng.Schedule(delay, func() {
+	if err := n.execAt(nid).eng.Schedule(delay, func() {
 		nd := n.nodes[nid]
 		if cur, pending := nd.pit[id]; !pending || cur != entry || cur.gen != gen {
 			return // satisfied or flushed (and perhaps recycled); the chain ends
@@ -947,7 +926,7 @@ func (n *Network) armRetx(nid topology.NodeID, id catalog.ID, entry *pitEntry) {
 			delete(nd.pit, id)
 			n.expiredEntries++
 			if n.opts.Tracer != nil {
-				n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindExpire, Router: int(nid), Content: int64(id), N: int64(entry.attempts), Req: entry.primaryReq})
+				n.opts.Tracer.Emit(trace.Event{T: n.nowAt(nid), Kind: trace.KindExpire, Router: int(nid), Content: int64(id), N: int64(entry.attempts), Req: entry.primaryReq})
 			}
 			n.dropEntry(nid, id, entry)
 			return
@@ -955,7 +934,7 @@ func (n *Network) armRetx(nid topology.NodeID, id catalog.ID, entry *pitEntry) {
 		n.retransmissions++
 		entry.attempts++
 		if n.opts.Tracer != nil {
-			n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindRetry, Router: int(nid), Content: int64(id), N: int64(entry.attempts), Req: entry.primaryReq})
+			n.opts.Tracer.Emit(trace.Event{T: n.nowAt(nid), Kind: trace.KindRetry, Router: int(nid), Content: int64(id), N: int64(entry.attempts), Req: entry.primaryReq})
 		}
 		forceOrigin := n.opts.Faults && n.opts.OriginFallbackRetries > 0 &&
 			entry.attempts > 1+n.opts.OriginFallbackRetries
@@ -984,7 +963,7 @@ func (n *Network) dataDelay(from, to topology.NodeID, propagation float64) float
 		return propagation
 	}
 	key := [2]topology.NodeID{from, to}
-	now := n.eng.Now()
+	now := n.nowAt(from)
 	ser := 1 / n.opts.LinkRate
 	start := now
 	if busy := n.linkBusy[key]; busy > start {
@@ -1008,7 +987,7 @@ func (n *Network) originDataDelay(nid topology.NodeID) float64 {
 	}
 	key := [2]topology.NodeID{nid, originNeighbor}
 	ser := 1 / n.opts.LinkRate
-	ready := n.eng.Now() + up // when the interest reaches the origin
+	ready := n.nowAt(nid) + up // when the interest reaches the origin
 	start := ready
 	if busy := n.linkBusy[key]; busy > start {
 		start = busy
@@ -1018,7 +997,7 @@ func (n *Network) originDataDelay(nid topology.NodeID) float64 {
 		n.queuedPackets++
 	}
 	n.linkBusy[key] = start + ser
-	return (start + ser + up) - n.eng.Now()
+	return (start + ser + up) - n.nowAt(nid)
 }
 
 // MeanQueueingDelay returns the mean link-queueing wait per data
@@ -1043,14 +1022,14 @@ func (n *Network) forwardToOrigin(nid topology.NodeID, id catalog.ID, req int64,
 		// Uplink directly to the origin, which always has the content.
 		// The uplink interest and the returning data are each subject to
 		// loss.
-		n.txAt(nid).interests++
+		n.execAt(nid).interests++
 		if n.opts.Tracer != nil {
-			n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindInterest, Router: int(nid), Peer: -1, Content: int64(id), Req: req, Cause: cause})
+			n.opts.Tracer.Emit(trace.Event{T: n.nowAt(nid), Kind: trace.KindInterest, Router: int(nid), Peer: -1, Content: int64(id), Req: req, Cause: cause})
 		}
 		if n.lost() {
 			n.droppedInterests++
 			if n.opts.Tracer != nil {
-				n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindDrop, Router: int(nid), Peer: -1, Content: int64(id), Detail: "loss-interest", Req: req})
+				n.opts.Tracer.Emit(trace.Event{T: n.nowAt(nid), Kind: trace.KindDrop, Router: int(nid), Peer: -1, Content: int64(id), Detail: "loss-interest", Req: req})
 			}
 			return
 		}
@@ -1068,7 +1047,7 @@ func (n *Network) forwardToOrigin(nid topology.NodeID, id catalog.ID, req int64,
 		// Partitioned from the origin gateway: nowhere to send.
 		n.faultDrops++
 		if n.opts.Tracer != nil {
-			n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindDrop, Router: int(nid), Peer: -1, Content: int64(id), Detail: "fault", Req: req})
+			n.opts.Tracer.Emit(trace.Event{T: n.nowAt(nid), Kind: trace.KindDrop, Router: int(nid), Peer: -1, Content: int64(id), Detail: "fault", Req: req})
 		}
 		return
 	}
@@ -1079,14 +1058,14 @@ func (n *Network) forwardToOrigin(nid topology.NodeID, id catalog.ID, req int64,
 // router nid after the uplink round trip, and the uplink itself counts
 // as one hop.
 func (n *Network) originDataReturn(nid topology.NodeID, id catalog.ID, req int64, dataLost bool) {
-	n.txAt(nid).data++
+	n.execAt(nid).data++
 	if n.opts.Tracer != nil {
-		n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindData, Router: -1, Peer: int(nid), Content: int64(id), Hops: 1, Req: req})
+		n.opts.Tracer.Emit(trace.Event{T: n.nowAt(nid), Kind: trace.KindData, Router: -1, Peer: int(nid), Content: int64(id), Hops: 1, Req: req})
 	}
 	if dataLost {
 		n.droppedData++
 		if n.opts.Tracer != nil {
-			n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindDrop, Router: -1, Peer: int(nid), Content: int64(id), Detail: "loss-data", Req: req})
+			n.opts.Tracer.Emit(trace.Event{T: n.nowAt(nid), Kind: trace.KindDrop, Router: -1, Peer: int(nid), Content: int64(id), Detail: "loss-data", Req: req})
 		}
 		return
 	}
@@ -1104,18 +1083,18 @@ func (n *Network) forwardInterest(nid, next topology.NodeID, id catalog.ID, req 
 		// retry timer recovers over the recomputed route.
 		n.faultDrops++
 		if n.opts.Tracer != nil {
-			n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindDrop, Router: int(nid), Peer: int(next), Content: int64(id), Detail: "fault", Req: req})
+			n.opts.Tracer.Emit(trace.Event{T: n.nowAt(nid), Kind: trace.KindDrop, Router: int(nid), Peer: int(next), Content: int64(id), Detail: "fault", Req: req})
 		}
 		return
 	}
-	n.txAt(nid).interests++
+	n.execAt(nid).interests++
 	if n.opts.Tracer != nil {
-		n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindInterest, Router: int(nid), Peer: int(next), Content: int64(id), Req: req, Cause: cause})
+		n.opts.Tracer.Emit(trace.Event{T: n.nowAt(nid), Kind: trace.KindInterest, Router: int(nid), Peer: int(next), Content: int64(id), Req: req, Cause: cause})
 	}
 	if n.lost() {
 		n.droppedInterests++
 		if n.opts.Tracer != nil {
-			n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindDrop, Router: int(nid), Peer: int(next), Content: int64(id), Detail: "loss-interest", Req: req})
+			n.opts.Tracer.Emit(trace.Event{T: n.nowAt(nid), Kind: trace.KindDrop, Router: int(nid), Peer: int(next), Content: int64(id), Detail: "loss-interest", Req: req})
 		}
 		return
 	}
@@ -1139,7 +1118,7 @@ func (n *Network) dataArrival(nid topology.NodeID, id catalog.ID, hops int, serv
 		// at crash time, so nothing downstream waits on this copy here.
 		n.faultDrops++
 		if n.opts.Tracer != nil {
-			n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindDrop, Router: int(nid), Content: int64(id), Detail: "fault", Req: req})
+			n.opts.Tracer.Emit(trace.Event{T: n.nowAt(nid), Kind: trace.KindDrop, Router: int(nid), Content: int64(id), Detail: "fault", Req: req})
 		}
 		return
 	}
@@ -1197,20 +1176,20 @@ func (n *Network) respond(nid topology.NodeID, id catalog.ID, f pitFace, hops in
 		// timer re-fetches over the recomputed route.
 		n.faultDrops++
 		if n.opts.Tracer != nil {
-			n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindDrop, Router: int(nid), Peer: int(next), Content: int64(id), Detail: "fault", Req: f.req})
+			n.opts.Tracer.Emit(trace.Event{T: n.nowAt(nid), Kind: trace.KindDrop, Router: int(nid), Peer: int(next), Content: int64(id), Detail: "fault", Req: f.req})
 		}
 		return
 	}
-	n.txAt(nid).data++
+	n.execAt(nid).data++
 	if n.opts.Tracer != nil {
-		n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindData, Router: int(nid), Peer: int(next), Content: int64(id), Hops: hops, Req: f.req})
+		n.opts.Tracer.Emit(trace.Event{T: n.nowAt(nid), Kind: trace.KindData, Router: int(nid), Peer: int(next), Content: int64(id), Hops: hops, Req: f.req})
 	}
 	if n.lost() {
 		// The downstream router's retransmission timer recovers the
 		// loss.
 		n.droppedData++
 		if n.opts.Tracer != nil {
-			n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindDrop, Router: int(nid), Peer: int(next), Content: int64(id), Detail: "loss-data", Req: f.req})
+			n.opts.Tracer.Emit(trace.Event{T: n.nowAt(nid), Kind: trace.KindDrop, Router: int(nid), Peer: int(next), Content: int64(id), Detail: "loss-data", Req: f.req})
 		}
 		return
 	}

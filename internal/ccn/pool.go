@@ -53,11 +53,9 @@ type packet struct {
 	next *packet
 }
 
-// recordPool is one executor's LIFO free lists: a single pool on serial
-// planes, one per shard on sharded planes. A pool is touched only by
-// events executing on its shard (or by the single set-up goroutine
-// outside Run), so it needs no locking. The created counters let tests
-// check that every record ever made is back on a list at quiescence.
+// recordPool is one executor's LIFO free lists (see executor). The
+// created counters let tests check that every record ever made is back
+// on a list at quiescence.
 type recordPool struct {
 	packets  *packet
 	requests *pendingRequest
@@ -66,23 +64,12 @@ type recordPool struct {
 	createdPackets  int
 	createdRequests int
 	createdEntries  int
-
-	_ [16]byte // keep adjacent shards off one cache line
-}
-
-// poolAt returns the record pool of the executor that runs router r's
-// events.
-func (n *Network) poolAt(r topology.NodeID) *recordPool {
-	if n.se == nil {
-		return &n.pools[0]
-	}
-	return &n.pools[n.shardOf[r]]
 }
 
 // newPacket draws a packet from the pool of the executing router at and
 // addresses it to router node.
 func (n *Network) newPacket(at topology.NodeID, kind pktKind, node topology.NodeID, id catalog.ID, req int64) *packet {
-	pl := n.poolAt(at)
+	pl := &n.execAt(at).pool
 	p := pl.packets
 	if p == nil {
 		pl.createdPackets++
@@ -96,9 +83,12 @@ func (n *Network) newPacket(at topology.NodeID, kind pktKind, node topology.Node
 }
 
 // send schedules p to fire at its destination router after delay, from
-// an event executing at router from.
+// an event executing at router from: a push on the sender's own engine,
+// or a cross-shard mailbox send. Every cross-shard hand-off in the data
+// plane rides a network link, so the delay is at least the partition's
+// cut latency — the engine's lookahead bound.
 func (n *Network) send(from topology.NodeID, delay float64, p *packet) error {
-	return n.schedFrom(from, p.node, delay, p.run)
+	return n.execAt(from).eng.ScheduleTo(int(n.shardOf[p.node]), delay, p.run)
 }
 
 // fire runs the packet's event. The record returns to the executing
@@ -107,7 +97,7 @@ func (n *Network) send(from topology.NodeID, delay float64, p *packet) error {
 func (p *packet) fire() {
 	q := *p
 	n := q.net
-	pl := n.poolAt(q.node)
+	pl := &n.execAt(q.node).pool
 	*p = packet{net: n, run: q.run, next: pl.packets}
 	pl.packets = p
 
@@ -143,7 +133,7 @@ func (p *packet) fire() {
 
 // newRequest draws a client request record from router r's pool.
 func (n *Network) newRequest(r topology.NodeID, reqID int64, done func(RequestResult)) *pendingRequest {
-	pl := n.poolAt(r)
+	pl := &n.execAt(r).pool
 	req := pl.requests
 	if req == nil {
 		pl.createdRequests++
@@ -158,7 +148,7 @@ func (n *Network) newRequest(r topology.NodeID, reqID int64, done func(RequestRe
 // newEntry draws a PIT entry for router r holding its first face. The
 // backing array of the aggregated faces survives recycling.
 func (n *Network) newEntry(r topology.NodeID, first pitFace) *pitEntry {
-	pl := n.poolAt(r)
+	pl := &n.execAt(r).pool
 	e := pl.entries
 	if e == nil {
 		pl.createdEntries++
@@ -174,7 +164,7 @@ func (n *Network) newEntry(r topology.NodeID, first pitFace) *pitEntry {
 // Bumping the generation is what retires any retransmission timer still
 // armed for the entry's previous life (see armRetx).
 func (n *Network) releaseEntry(r topology.NodeID, e *pitEntry) {
-	pl := n.poolAt(r)
+	pl := &n.execAt(r).pool
 	e.more = e.more[:0]
 	e.gen++
 	e.next, pl.entries = pl.entries, e

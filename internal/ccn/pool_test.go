@@ -96,13 +96,13 @@ type poolAudit struct {
 func auditPools(t *testing.T, n *Network) []poolAudit {
 	t.Helper()
 	limit := 1
-	for i := range n.pools {
-		pl := &n.pools[i]
+	for i := range n.execs {
+		pl := &n.execs[i].pool
 		limit += pl.createdPackets + pl.createdRequests + pl.createdEntries
 	}
-	out := make([]poolAudit, len(n.pools))
-	for i := range n.pools {
-		pl := &n.pools[i]
+	out := make([]poolAudit, len(n.execs))
+	for i := range n.execs {
+		pl := &n.execs[i].pool
 		a := poolAudit{createdPackets: pl.createdPackets, createdRequests: pl.createdRequests, createdEntries: pl.createdEntries}
 		for p := pl.packets; p != nil && a.freePackets <= limit; p = p.next {
 			a.freePackets++

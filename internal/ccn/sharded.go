@@ -45,10 +45,11 @@ func NewShardedNetwork(se *des.Sharded, shardOf []int32, g *topology.Graph, cat 
 	if err != nil {
 		return nil, err
 	}
-	n.se = se
+	n.execs = make([]executor, se.Shards())
+	for i := range n.execs {
+		n.execs[i].eng = se.Shard(i)
+	}
 	n.shardOf = shardOf
-	n.tx = make([]txShard, se.Shards())
-	n.pools = make([]recordPool, se.Shards())
 	return n, nil
 }
 
@@ -78,6 +79,3 @@ func ShardBlockers(opts Options) []string {
 	}
 	return b
 }
-
-// Sharded reports whether the network runs on a sharded engine.
-func (n *Network) Sharded() bool { return n.se != nil }

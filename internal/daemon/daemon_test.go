@@ -18,7 +18,7 @@ import (
 )
 
 // testConfig is a small hosted network that completes quickly.
-func testConfig(t *testing.T) Config {
+func testConfig(t testing.TB) Config {
 	t.Helper()
 	g, err := topology.Ring(4, 10)
 	if err != nil {

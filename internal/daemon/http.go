@@ -2,13 +2,15 @@
 // the observability mux (internal/obs), so one listener serves client
 // load, live retuning, scaling, stats, health, metrics and pprof.
 // Admission errors map onto transport semantics: a full queue is 429
-// with Retry-After, a daemon outside Running is 503.
+// with Retry-After, a daemon outside Running is 503, a body over
+// maxBodyBytes is 413 and any other malformed body is 400.
 package daemon
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"ccncoord/internal/obs"
@@ -50,6 +52,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 func writeError(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
 	switch {
+	case errors.As(err, new(*http.MaxBytesError)):
+		status = http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrOverloaded):
 		status = http.StatusTooManyRequests
 		w.Header().Set("Retry-After", "1")
@@ -59,11 +63,25 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-// decodeBody parses one JSON request body into v.
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes caps one request body. The largest body any endpoint
+// takes, a WorkloadParams document, is well under a kilobyte.
+const maxBodyBytes = 64 << 10
+
+// decodeBody parses a request body that must be exactly one JSON
+// document into v: unknown fields, trailing data and bodies over
+// maxBodyBytes are rejected, as the chaos DSL and the checkpoint
+// decoders reject them.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("daemon: malformed request body: %w", err)
+	}
+	if tok, err := dec.Token(); err != io.EOF {
+		if err != nil {
+			return fmt.Errorf("daemon: malformed request body: %w", err)
+		}
+		return fmt.Errorf("daemon: malformed request body: trailing data after the JSON document (starting with %v)", tok)
 	}
 	return nil
 }
@@ -73,7 +91,7 @@ func (d *Daemon) handleRequests(w http.ResponseWriter, r *http.Request) {
 		Count  int  `json:"count"`
 		Router *int `json:"router"`
 	}
-	if err := decodeBody(r, &body); err != nil {
+	if err := decodeBody(w, r, &body); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -95,7 +113,7 @@ func (d *Daemon) handleStats(w http.ResponseWriter, r *http.Request) {
 
 func (d *Daemon) handleWorkload(w http.ResponseWriter, r *http.Request) {
 	var p WorkloadParams
-	if err := decodeBody(r, &p); err != nil {
+	if err := decodeBody(w, r, &p); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -111,7 +129,7 @@ func (d *Daemon) handleScalePost(w http.ResponseWriter, r *http.Request) {
 	var body struct {
 		Workers int `json:"workers"`
 	}
-	if err := decodeBody(r, &body); err != nil {
+	if err := decodeBody(w, r, &body); err != nil {
 		writeError(w, err)
 		return
 	}

@@ -74,14 +74,35 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// Engine is a discrete-event scheduler. The zero value is ready to use
-// with the clock at 0.
+// Engine is a discrete-event scheduler. The zero value is a standalone
+// engine, ready to use with the clock at 0. Every shard of a Sharded
+// engine is an Engine too; the fields below the queue are zero on a
+// standalone engine and hold what only a shard needs.
 type Engine struct {
 	now       float64
 	seq       uint64
 	queue     eventHeap
 	processed uint64
 	peak      int
+
+	// Shard state (see Sharded): the engine's index and parent, the
+	// cross-shard send sequence, the outboxes (indexed by destination
+	// shard) and the barrier's merge scratch.
+	id      int
+	par     *Sharded
+	sendSeq uint64
+	out     [][]remoteEvent
+	inbox   []remoteEvent
+
+	// Window telemetry, written only by the shard's worker inside
+	// runWindow (the barrier's happens-before lets the coordinator read
+	// it), except waitNs, which the coordinator writes.
+	windows    uint64 // active windows: windows in which this shard fired
+	busyNs     int64  // cumulative wall time spent executing events
+	lastBusyNs int64  // wall time of the latest window (barrier-wait math)
+	waitNs     int64  // cumulative wall time idle at barriers
+
+	_ [64]byte // pad out false sharing between the shards' engines
 }
 
 // Now returns the current simulated time (milliseconds by convention in
@@ -100,12 +121,7 @@ func (e *Engine) Pending() int { return len(e.queue) }
 func (e *Engine) PendingPeak() int { return e.peak }
 
 // Schedule enqueues fn to run after the given non-negative delay.
-func (e *Engine) Schedule(delay float64, fn func()) error {
-	if delay < 0 {
-		return fmt.Errorf("des: negative delay %v", delay)
-	}
-	return e.At(e.now+delay, fn)
-}
+func (e *Engine) Schedule(delay float64, fn func()) error { return e.ScheduleTo(e.id, delay, fn) }
 
 // At enqueues fn to run at the given absolute time, which must not be in
 // the simulated past. A NaN time is rejected: it compares false against
@@ -122,6 +138,37 @@ func (e *Engine) At(t float64, fn func()) error {
 	if len(e.queue) > e.peak {
 		e.peak = len(e.queue)
 	}
+	return nil
+}
+
+// ScheduleTo enqueues fn on shard dst after the given delay. A send to
+// the engine's own shard (dst == 0 on a standalone engine) is Schedule:
+// the delay must be non-negative. A standalone engine has no other
+// shard. A cross-shard send must respect the conservative contract
+// delay >= lookahead, which the Sharded engine's safety argument
+// depends on, and is buffered in the sender's outbox for deterministic
+// delivery at the next barrier.
+func (e *Engine) ScheduleTo(dst int, delay float64, fn func()) error {
+	if dst == e.id {
+		if delay < 0 {
+			return fmt.Errorf("des: negative delay %v", delay)
+		}
+		return e.At(e.now+delay, fn)
+	}
+	if e.par == nil {
+		return fmt.Errorf("des: standalone engine has no shard %d", dst)
+	}
+	if dst < 0 || dst >= len(e.par.shards) {
+		return fmt.Errorf("des: shard %d out of range [0,%d)", dst, len(e.par.shards))
+	}
+	if !(delay >= e.par.lookahead) {
+		return fmt.Errorf("des: cross-shard delay %v below lookahead %v violates the conservative contract", delay, e.par.lookahead)
+	}
+	if fn == nil {
+		return fmt.Errorf("des: nil event callback")
+	}
+	e.sendSeq++
+	e.out[dst] = append(e.out[dst], remoteEvent{at: e.now + delay, src: int32(e.id), seq: e.sendSeq, fn: fn})
 	return nil
 }
 

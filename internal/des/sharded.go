@@ -9,8 +9,8 @@ import (
 )
 
 // Sharded is a conservative parallel discrete-event engine: P logical
-// processes ("shards"), each with its own event heap, clock, and
-// sequence counter, synchronized in bulk-synchronous windows. Each
+// processes ("shards"), each an Engine with its own event heap, clock,
+// and sequence counter, synchronized in bulk-synchronous windows. Each
 // window the coordinator computes the global minimum next-event time T
 // and every shard drains, in parallel, exactly the events with
 // timestamp strictly below T + lookahead. The lookahead is the minimum
@@ -32,7 +32,7 @@ import (
 // edges between windows.
 type Sharded struct {
 	lookahead float64
-	shards    []*Shard
+	shards    []*Engine
 
 	crossEvents uint64 // events delivered across shard boundaries
 	barrierPeak int    // max total pending observed at window barriers
@@ -50,34 +50,6 @@ type Sharded struct {
 	matrix    [][]uint64 // cross-shard deliveries, [src][dst]
 }
 
-// Shard is one logical process of a Sharded engine. Its methods are
-// safe to call from the shard's own events during Run and from a single
-// goroutine outside Run; they mirror Engine's scheduling API.
-type Shard struct {
-	id  int
-	par *Sharded
-
-	now       float64
-	seq       uint64
-	queue     eventHeap
-	processed uint64
-	peak      int
-
-	sendSeq uint64
-	out     [][]remoteEvent // indexed by destination shard
-	inbox   []remoteEvent   // barrier scratch: merged incoming events
-
-	// Telemetry, written only by the shard's worker inside runWindow
-	// (the barrier's happens-before lets the coordinator read it).
-	windows    uint64 // active windows: windows in which this shard fired
-	busyNs     int64  // cumulative wall time spent executing events
-	lastBusyNs int64  // wall time of the latest window (barrier-wait math)
-
-	waitNs int64 // cumulative wall time idle at barriers, coordinator-written
-
-	_ [64]byte // pad out false sharing between shard structs
-}
-
 // remoteEvent is a cross-shard event in flight: ordered on delivery by
 // (at, src, seq) so execution order is independent of goroutine timing.
 type remoteEvent struct {
@@ -92,7 +64,7 @@ type remoteEvent struct {
 // width beyond the global minimum next-event time); +Inf is allowed and
 // collapses the run into a single window, which is correct only when no
 // cross-shard sends occur or ordering across shards is immaterial.
-// With shards == 1 the engine degenerates to a serial drain.
+// With shards == 1 Run is the one shard's Engine.Run.
 func NewSharded(shards int, lookahead float64) (*Sharded, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("des: shard count %d < 1", shards)
@@ -100,10 +72,10 @@ func NewSharded(shards int, lookahead float64) (*Sharded, error) {
 	if shards > 1 && !(lookahead > 0) {
 		return nil, fmt.Errorf("des: lookahead %v must be positive", lookahead)
 	}
-	s := &Sharded{lookahead: lookahead, shards: make([]*Shard, shards)}
+	s := &Sharded{lookahead: lookahead, shards: make([]*Engine, shards)}
 	s.matrix = make([][]uint64, shards)
 	for i := range s.shards {
-		s.shards[i] = &Shard{id: i, par: s, out: make([][]remoteEvent, shards)}
+		s.shards[i] = &Engine{id: i, par: s, out: make([][]remoteEvent, shards)}
 		s.matrix[i] = make([]uint64, shards)
 	}
 	return s, nil
@@ -118,8 +90,11 @@ func (s *Sharded) EnableTelemetry() { s.telemetry = true }
 // Shards returns the number of logical processes.
 func (s *Sharded) Shards() int { return len(s.shards) }
 
-// Shard returns the i-th logical process.
-func (s *Sharded) Shard(i int) *Shard { return s.shards[i] }
+// Shard returns the i-th logical process: an Engine whose Schedule and
+// At stay on that shard and whose ScheduleTo reaches the others. Call
+// its methods from its own events during Run, or from a single
+// goroutine outside Run.
+func (s *Sharded) Shard(i int) *Engine { return s.shards[i] }
 
 // Lookahead returns the conservative window width.
 func (s *Sharded) Lookahead() float64 { return s.lookahead }
@@ -257,80 +232,14 @@ func (s *Sharded) Stats() ShardedStats {
 	return st
 }
 
-// ID returns the shard's index in [0, Shards()).
-func (sh *Shard) ID() int { return sh.id }
-
-// Now returns the shard's local clock.
-func (sh *Shard) Now() float64 { return sh.now }
-
-// Processed returns how many events this shard has fired.
-func (sh *Shard) Processed() uint64 { return sh.processed }
-
-// Pending returns this shard's queued event count.
-func (sh *Shard) Pending() int { return len(sh.queue) }
-
-// At enqueues fn on this shard at absolute time t, which must not be in
-// the shard's past.
-func (sh *Shard) At(t float64, fn func()) error {
-	if !(t >= sh.now) { // also rejects NaN, as Engine.At does
-		return fmt.Errorf("des: shard %d cannot schedule at %v, current time is %v", sh.id, t, sh.now)
-	}
-	if fn == nil {
-		return fmt.Errorf("des: nil event callback")
-	}
-	sh.seq++
-	sh.queue.push(event{at: t, seq: sh.seq, fn: fn})
-	if len(sh.queue) > sh.peak {
-		sh.peak = len(sh.queue)
-	}
-	return nil
-}
-
-// Schedule enqueues fn on this shard after the given non-negative delay.
-func (sh *Shard) Schedule(delay float64, fn func()) error {
-	if delay < 0 {
-		return fmt.Errorf("des: negative delay %v", delay)
-	}
-	return sh.At(sh.now+delay, fn)
-}
-
-// ScheduleTo enqueues fn on shard dst after the given delay. Local
-// sends (dst == this shard) behave exactly like Schedule. Cross-shard
-// sends must respect the conservative contract delay ≥ lookahead —
-// the engine's safety argument depends on it — and are buffered in the
-// sender's outbox for deterministic delivery at the next barrier.
-func (sh *Shard) ScheduleTo(dst int, delay float64, fn func()) error {
-	if dst == sh.id {
-		return sh.Schedule(delay, fn)
-	}
-	if dst < 0 || dst >= len(sh.par.shards) {
-		return fmt.Errorf("des: shard %d out of range [0,%d)", dst, len(sh.par.shards))
-	}
-	if !(delay >= sh.par.lookahead) {
-		return fmt.Errorf("des: cross-shard delay %v below lookahead %v violates the conservative contract", delay, sh.par.lookahead)
-	}
-	if fn == nil {
-		return fmt.Errorf("des: nil event callback")
-	}
-	sh.sendSeq++
-	sh.out[dst] = append(sh.out[dst], remoteEvent{at: sh.now + delay, src: int32(sh.id), seq: sh.sendSeq, fn: fn})
-	return nil
-}
-
 // Run fires events until every heap and mailbox drains. With one shard
-// it is a serial drain; otherwise it loops bulk-synchronous windows:
-// pick the global minimum next-event time T, let every shard execute
-// events with at < T+lookahead in parallel, then deliver outboxes in
-// deterministic (at, src, seq) order at the barrier.
+// it is that shard's Engine.Run; otherwise it loops bulk-synchronous
+// windows: pick the global minimum next-event time T, let every shard
+// execute events with at < T+lookahead in parallel, then deliver
+// outboxes in deterministic (at, src, seq) order at the barrier.
 func (s *Sharded) Run() {
 	if len(s.shards) == 1 {
-		sh := s.shards[0]
-		for len(sh.queue) > 0 {
-			ev := sh.queue.pop()
-			sh.now = ev.at
-			sh.processed++
-			ev.fn()
-		}
+		s.shards[0].Run()
 		return
 	}
 
@@ -343,7 +252,7 @@ func (s *Sharded) Run() {
 	wake := make([]chan float64, len(s.shards))
 	for i, sh := range s.shards {
 		wake[i] = make(chan float64, 1)
-		go func(sh *Shard, c <-chan float64) {
+		go func(sh *Engine, c <-chan float64) {
 			for bound := range c {
 				sh.runWindow(bound)
 				wg.Done()
@@ -402,7 +311,7 @@ func (s *Sharded) Run() {
 // runWindow drains this shard's events strictly below bound. Events the
 // window generates locally (including at times below bound) execute in
 // the same window; cross-shard sends land in outboxes.
-func (sh *Shard) runWindow(bound float64) {
+func (sh *Engine) runWindow(bound float64) {
 	tel := sh.par.telemetry
 	var t0 time.Time
 	if tel {
@@ -410,11 +319,8 @@ func (sh *Shard) runWindow(bound float64) {
 	}
 	fired := false
 	for len(sh.queue) > 0 && sh.queue[0].at < bound {
-		ev := sh.queue.pop()
-		sh.now = ev.at
-		sh.processed++
+		sh.step()
 		fired = true
-		ev.fn()
 	}
 	if fired {
 		sh.windows++
@@ -455,15 +361,10 @@ func (s *Sharded) deliver() {
 		})
 		for i := range dst.inbox {
 			re := &dst.inbox[i]
-			if re.at < dst.now {
+			if err := dst.At(re.at, re.fn); err != nil {
 				panic(fmt.Sprintf("des: conservative violation: event at %v delivered to shard %d at local time %v", re.at, d, dst.now))
 			}
-			dst.seq++
-			dst.queue.push(event{at: re.at, seq: dst.seq, fn: re.fn})
 			re.fn = nil // release for GC
-		}
-		if len(dst.queue) > dst.peak {
-			dst.peak = len(dst.queue)
 		}
 		s.crossEvents += uint64(len(dst.inbox))
 	}

@@ -3,6 +3,7 @@ package des
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -220,31 +221,92 @@ func TestShardedInfiniteLookahead(t *testing.T) {
 	}
 }
 
-// TestShardedSingleShardMatchesEngine: a 1-shard Sharded engine drains
-// in exactly the serial engine's order.
-func TestShardedSingleShardMatchesEngine(t *testing.T) {
+// seededSchedule drives a seeded branching workload through one
+// scheduling surface: 40 roots at integer times (so exact ties are
+// common), each firing event logs (label, now) and, while its budget
+// lasts, schedules up to two children after integer or zero delays. The
+// random stream is consumed in firing order, so two surfaces that fire
+// in the same order build the same schedule.
+func seededSchedule(t *testing.T, seed int64, at func(float64, func()) error, after func(float64, func()) error, now func() float64) *[]string {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	var log []string
+	var visit func(label string, budget int) func()
+	visit = func(label string, budget int) func() {
+		return func() {
+			log = append(log, fmt.Sprintf("%s@%v", label, now()))
+			if budget == 0 {
+				return
+			}
+			for c := 0; c < 1+rng.Intn(2); c++ {
+				if err := after(float64(rng.Intn(4)), visit(fmt.Sprintf("%s.%d", label, c), budget-1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	for i := 0; i < 40; i++ {
+		if err := at(float64(rng.Intn(10)), visit(fmt.Sprint(i), 5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return &log
+}
+
+// TestOneShardIsEngine pins that a one-shard Sharded engine is the
+// standalone Engine: the same seeded schedule fires in the same order
+// at the same times, and Now, Processed and PendingPeak agree. It also
+// pins ScheduleTo on a standalone engine: a send to shard 0 is
+// Schedule, a send to any other shard is an error.
+func TestOneShardIsEngine(t *testing.T) {
+	const seed = 7
 	var e Engine
+	want := seededSchedule(t, seed, e.At, e.Schedule, e.Now)
+	e.Run()
+
 	s, err := NewSharded(1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var serialOrder, shardOrder []string
-	for i := 0; i < 20; i++ {
-		label := fmt.Sprintf("ev%d", i)
-		at := float64((i * 7) % 13)
-		if err := e.At(at, func() { serialOrder = append(serialOrder, label) }); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Shard(0).At(at, func() { shardOrder = append(shardOrder, label) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e.Run()
+	sh := s.Shard(0)
+	got := seededSchedule(t, seed, sh.At, sh.Schedule, sh.Now)
 	s.Run()
-	if !reflect.DeepEqual(serialOrder, shardOrder) {
-		t.Errorf("1-shard order %v != serial order %v", shardOrder, serialOrder)
+
+	var to Engine
+	viaTo := seededSchedule(t, seed, to.At, func(d float64, fn func()) error { return to.ScheduleTo(0, d, fn) }, to.Now)
+	to.Run()
+
+	if len(*want) < 200 {
+		t.Fatalf("schedule fired only %d events", len(*want))
 	}
-	if s.Processed() != e.Processed() {
-		t.Errorf("processed %d != serial %d", s.Processed(), e.Processed())
+	for name, run := range map[string]struct {
+		log       []string
+		now       float64
+		processed uint64
+		peak      int
+	}{
+		"NewSharded(1)":     {*got, s.Now(), s.Processed(), s.PendingPeak()},
+		"Engine.ScheduleTo": {*viaTo, to.Now(), to.Processed(), to.PendingPeak()},
+	} {
+		if !reflect.DeepEqual(run.log, *want) {
+			t.Errorf("%s: firing order diverges from the standalone engine", name)
+		}
+		if run.now != e.Now() || run.processed != e.Processed() || run.peak != e.PendingPeak() {
+			t.Errorf("%s: (Now, Processed, PendingPeak) = (%v, %d, %d), engine (%v, %d, %d)",
+				name, run.now, run.processed, run.peak, e.Now(), e.Processed(), e.PendingPeak())
+		}
+	}
+	if sh.Now() != e.Now() || sh.Processed() != e.Processed() || sh.PendingPeak() != e.PendingPeak() {
+		t.Error("the shard's own gauges diverge from the standalone engine")
+	}
+
+	if err := to.ScheduleTo(1, 1, func() {}); err == nil {
+		t.Error("standalone ScheduleTo(1) should fail: there is no shard 1")
+	}
+	if err := to.ScheduleTo(-1, 1, func() {}); err == nil {
+		t.Error("standalone ScheduleTo(-1) should fail")
+	}
+	if to.Pending() != 0 {
+		t.Errorf("a rejected send left %d events pending", to.Pending())
 	}
 }

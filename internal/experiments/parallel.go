@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"os"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -100,29 +100,37 @@ func SetProgress(p Progress) {
 	runProgress.Store(&progressBox{p: p})
 }
 
-// warnedFallbacks dedupes shard-fallback warnings: an artifact sweep
-// runs hundreds of scenarios, and a non-shardable feature would
-// otherwise repeat the same warning for every one of them. One line per
-// distinct reason is enough for the operator to know the explicit
-// -shards N is not being honored everywhere.
-var warnedFallbacks sync.Map
+// shardFallbacks collects the distinct reasons an explicitly requested
+// multi-shard run fell back to the serial engine. An artifact sweep
+// runs hundreds of scenarios from concurrent workers; the set keeps one
+// entry per reason, and ShardFallbacks reports them in sorted order, so
+// what the operator sees does not depend on which worker met a reason
+// first.
+var shardFallbacks sync.Map
 
-// warnShardFallback logs (once per reason) when an explicitly requested
-// multi-shard run falls back to the serial engine. Warnings go to
-// stderr only, so artifact output stays byte-identical across shard
-// settings.
-func warnShardFallback(sc sim.Scenario) {
+// noteShardFallback records why sc, if it explicitly requests shards,
+// falls back to the serial engine.
+func noteShardFallback(sc sim.Scenario) {
 	if sc.Shards < 2 || sc.Topology == nil {
 		return
 	}
-	n, reason := sim.ResolveShardsReason(sc)
-	if n > 1 || reason == "" {
-		return
+	if n, reason := sim.ResolveShardsReason(sc); n == 1 && reason != "" {
+		shardFallbacks.Store(reason, struct{}{})
 	}
-	if _, dup := warnedFallbacks.LoadOrStore(reason, struct{}{}); dup {
-		return
-	}
-	fmt.Fprintf(os.Stderr, "ccnexp: warning: -shards %d falls back to the serial engine for some scenarios (%s)\n", sc.Shards, reason)
+}
+
+// ShardFallbacks returns, sorted, every distinct reason an explicit
+// shard request fell back to the serial engine in the simulations run
+// so far (cmd/ccnexp warns with them when the sweep ends). Fallbacks
+// never change results, only which engine produced them.
+func ShardFallbacks() []string {
+	var reasons []string
+	shardFallbacks.Range(func(k, _ any) bool {
+		reasons = append(reasons, k.(string))
+		return true
+	})
+	sort.Strings(reasons)
+	return reasons
 }
 
 // runSim executes one scenario with the package tracer attached and
@@ -136,7 +144,7 @@ func runSim(sc sim.Scenario) (sim.Result, error) {
 	if sc.Shards == 0 {
 		sc.Shards = Shards()
 	}
-	warnShardFallback(sc)
+	noteShardFallback(sc)
 	var prog Progress
 	if b := runProgress.Load(); b != nil {
 		prog = b.p

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"reflect"
+	"sort"
+	"sync"
 	"testing"
 
 	"ccncoord/internal/sim"
@@ -151,6 +153,41 @@ func TestAblationReplicas(t *testing.T) {
 	for _, row := range tab.Rows {
 		if len(row) != len(tab.Headers) {
 			t.Errorf("row %v has %d cells, want %d", row, len(row), len(tab.Headers))
+		}
+	}
+}
+
+// TestShardFallbacksSorted pins the shard-fallback report: scenarios
+// noted from concurrent workers, in any order and any number of times,
+// report each reason once and in sorted order.
+func TestShardFallbacksSorted(t *testing.T) {
+	lossy := sim.Scenario{Topology: topology.USA(), Shards: 4, LossRate: 0.01, RetxTimeout: 200}
+	queued := sim.Scenario{Topology: topology.USA(), Shards: 4, LinkRate: 50}
+	serial := sim.Scenario{Topology: topology.USA(), Shards: 1, LossRate: 0.01, RetxTimeout: 200}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for _, sc := range [][]sim.Scenario{{lossy, queued, serial}, {serial, queued, lossy}}[i%2] {
+				noteShardFallback(sc)
+			}
+		}(i)
+	}
+	wg.Wait()
+	got := ShardFallbacks()
+	if !sort.StringsAreSorted(got) {
+		t.Errorf("ShardFallbacks() = %q, not sorted", got)
+	}
+	for _, want := range []string{"scenario not shardable: loss process", "scenario not shardable: link queueing"} {
+		n := 0
+		for _, r := range got {
+			if r == want {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Errorf("reason %q reported %d times in %q, want once", want, n, got)
 		}
 	}
 }

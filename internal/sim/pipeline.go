@@ -15,18 +15,13 @@ import (
 	"ccncoord/internal/catalog"
 	"ccncoord/internal/ccn"
 	"ccncoord/internal/coord"
+	"ccncoord/internal/des"
 	"ccncoord/internal/fault"
 	"ccncoord/internal/metrics"
 	"ccncoord/internal/topology"
 	"ccncoord/internal/trace"
 	"ccncoord/internal/workload"
 )
-
-// scheduler is what an arrival process needs of its engine; *des.Engine
-// and *des.Shard both provide it.
-type scheduler interface {
-	At(t float64, fn func()) error
-}
 
 // pipeline is a built and provisioned scenario: what the set-up stage
 // hands to a drive stage, and the drive stage to collect.
@@ -189,7 +184,7 @@ type arrivalProc struct {
 	// The drive stage sets these before start: the engine that owns the
 	// router, the measured-completion callback, and the error slot whose
 	// first failure stops the stream.
-	sched scheduler
+	sched *des.Engine
 	done  func(ccn.RequestResult)
 	err   *error
 	// ids holds the request identities dealt before a sharded run (see
@@ -247,6 +242,31 @@ func (p *arrivalProc) fire() {
 			*p.err = fmt.Errorf("sim: scheduling request: %w", err)
 		}
 	}
+}
+
+// replayArrivals replays every process's arrival clock (a fresh copy of
+// the stream the live process draws from) on a private engine holding
+// nothing but the arrivals, and calls visit with each arrival's process
+// and time in engine order. The replay schedules arrivals exactly as
+// the live processes do — first arrivals in process order, each next
+// one when its predecessor fires — so the engine's (at, seq) order is
+// the serial run's arrival order, exact-time ties included.
+func (pl *pipeline) replayArrivals(visit func(p *arrivalProc, t float64)) {
+	var eng des.Engine
+	for _, p := range pl.procs {
+		rng, k, t := arrivalClock(pl.sc.Seed, int(p.router)), 0, 0.0
+		var tick func()
+		tick = func() {
+			visit(p, t)
+			if k++; k < p.nReq {
+				t += rng.ExpFloat64() * pl.interArrival
+				_ = eng.At(t, tick) // t >= now: the gap is non-negative
+			}
+		}
+		t = rng.ExpFloat64() * pl.interArrival
+		_ = eng.At(t, tick)
+	}
+	eng.Run()
 }
 
 // discard is the completion callback of every warmup request.

@@ -17,7 +17,6 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sort"
 	"strings"
@@ -114,7 +113,7 @@ func runSharded(sc Scenario, part *topology.Partition) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	dealRequestIDs(sc.Seed, pl.interArrival, pl.procs)
+	pl.dealRequestIDs()
 
 	// Per-shard completion buffers and error slots. Completion callbacks
 	// run on the shard owning the client's first-hop router, so each
@@ -176,65 +175,16 @@ func runSharded(sc Scenario, part *topology.Partition) (Result, error) {
 	return pl.collect(me)
 }
 
-// dealRequestIDs replays every process's arrival clock (a fresh copy of
-// the stream the live process draws from) and deals the global request
-// identities 1..total in arrival-time order — the order the serial
-// engine's shared counter allocates them in — into each process's ids.
-// Exact-time ties across routers break by router index, matching the
-// serial engine's scheduling order for simultaneous arrivals; between
-// independent continuous exponential clocks such ties otherwise have
-// measure zero.
-func dealRequestIDs(seed int64, interArrival float64, procs []*arrivalProc) {
-	type cursor struct {
-		p   *arrivalProc
-		rng *rand.Rand
-		t   float64 // pending arrival time
-	}
-	h := make([]*cursor, 0, len(procs))
-	less := func(a, b *cursor) bool {
-		if a.t != b.t {
-			return a.t < b.t
-		}
-		return a.p.router < b.p.router
-	}
-	siftDown := func(i int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			best := i
-			if l < len(h) && less(h[l], h[best]) {
-				best = l
-			}
-			if r < len(h) && less(h[r], h[best]) {
-				best = r
-			}
-			if best == i {
-				return
-			}
-			h[i], h[best] = h[best], h[i]
-			i = best
-		}
-	}
-	for _, p := range procs {
-		c := &cursor{p: p, rng: arrivalClock(seed, int(p.router))}
-		c.t = c.rng.ExpFloat64() * interArrival
+// dealRequestIDs deals the global request identities 1..total into each
+// process's ids in arrival order: the order the serial plane's shared
+// issue counter allocates them in.
+func (pl *pipeline) dealRequestIDs() {
+	for _, p := range pl.procs {
 		p.ids = make([]int64, 0, p.nReq)
-		h = append(h, c)
-	}
-	// Heapify (cursors were appended in router order).
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(i)
 	}
 	var next int64
-	for len(h) > 0 {
-		c := h[0]
+	pl.replayArrivals(func(p *arrivalProc, _ float64) {
 		next++
-		c.p.ids = append(c.p.ids, next)
-		if len(c.p.ids) == c.p.nReq {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		} else {
-			c.t += c.rng.ExpFloat64() * interArrival
-		}
-		siftDown(0)
-	}
+		p.ids = append(p.ids, next)
+	})
 }

@@ -648,18 +648,7 @@ func runSerial(sc Scenario, fallback string) (Result, error) {
 	// coordinator's failure detector + repair pass.
 	var det *coord.Detector
 	if sc.faultsEnabled() {
-		// The stochastic horizon is the time of the last arrival, which
-		// lazy scheduling does not materialize up front. Replay each
-		// router's arrival clock on a fresh copy — exact, and only paid
-		// on fault runs.
-		horizon := 1.0
-		for _, p := range pl.procs {
-			rng, t := arrivalClock(sc.Seed, int(p.router)), 0.0
-			for k := 0; k < p.nReq; k++ {
-				t += rng.ExpFloat64() * pl.interArrival
-			}
-			horizon = math.Max(horizon, t)
-		}
+		horizon := pl.faultHorizon()
 		events := append([]fault.Event(nil), sc.FaultScript...)
 		if pl.chaos != nil {
 			events = append(events, pl.chaos.Events...)
@@ -838,6 +827,16 @@ func runSerial(sc Scenario, fallback string) (Result, error) {
 		Shards:              1,
 		ShardFallbackReason: fallback,
 	})
+}
+
+// faultHorizon is the horizon of the stochastic fault process and the
+// failure detector: the time of the last arrival, at least 1. Lazy
+// scheduling does not materialize it up front, so it replays the
+// arrival clocks: exact, and paid only on fault runs.
+func (pl *pipeline) faultHorizon() float64 {
+	horizon := 1.0
+	pl.replayArrivals(func(_ *arrivalProc, t float64) { horizon = max(1, t) })
+	return horizon
 }
 
 // probCacheAdmission is the per-router admission probability used by
